@@ -30,14 +30,14 @@ fn bench_global_verification(c: &mut Criterion) {
     for k in [6usize, 10, 14, 18] {
         let ring = RingInstance::symmetric(&p, k).unwrap();
         g.bench_with_input(BenchmarkId::new("agreement_t01", k), &ring, |b, ring| {
-            b.iter(|| check::ConvergenceReport::check(ring));
+            b.iter(|| check::ConvergenceReport::check(ring, &EngineConfig::default()));
         });
     }
     let p = sum_not_two::sum_not_two_solution();
     for k in [4usize, 6, 8, 10] {
         let ring = RingInstance::symmetric(&p, k).unwrap();
         g.bench_with_input(BenchmarkId::new("sum_not_two", k), &ring, |b, ring| {
-            b.iter(|| check::ConvergenceReport::check(ring));
+            b.iter(|| check::ConvergenceReport::check(ring, &EngineConfig::default()));
         });
     }
     g.finish();
@@ -103,7 +103,7 @@ fn bench_engine_comparison(_c: &mut Criterion) {
     // The engines must agree before their timings mean anything.
     let seed = seed_style_check(&p, &ring);
     for config in [&full_seq, &full_par, &reduced_cfg] {
-        let r = check::ConvergenceReport::check_with(&ring, config);
+        let r = check::ConvergenceReport::check(&ring, config);
         assert_eq!(seed.0, r.legit_count);
         assert_eq!(seed.1, r.illegitimate_deadlocks.len());
         assert_eq!(seed.2, r.closure_violation.is_none());
@@ -117,13 +117,13 @@ fn bench_engine_comparison(_c: &mut Criterion) {
         std::hint::black_box(seed_style_check(&p, &ring));
     });
     let fused_seq_us = timed_min(reps, || {
-        std::hint::black_box(check::ConvergenceReport::check_with(&ring, &full_seq));
+        std::hint::black_box(check::ConvergenceReport::check(&ring, &full_seq));
     });
     let fused_par_us = timed_min(reps, || {
-        std::hint::black_box(check::ConvergenceReport::check_with(&ring, &full_par));
+        std::hint::black_box(check::ConvergenceReport::check(&ring, &full_par));
     });
     let fused_reduced_us = timed_min(reps, || {
-        std::hint::black_box(check::ConvergenceReport::check_with(&ring, &reduced_cfg));
+        std::hint::black_box(check::ConvergenceReport::check(&ring, &reduced_cfg));
     });
 
     // Telemetry cost, both ways. Disabled (`counters: None`) must be free:
@@ -151,20 +151,18 @@ fn bench_engine_comparison(_c: &mut Criterion) {
     // would attribute them — once per symmetry mode, so the scan and DFS
     // phases can be compared full-vs-reduced individually.
     let phases = PhaseTimes::new();
-    let scan = phases.time(Phase::FusedScan, || {
-        fused_scan_metered(&ring, seq, &token, Some(&counters)).expect("no deadline")
-    });
-    let _ = phases.time(Phase::LivelockDfs, || {
-        find_livelock_metered(&ring, &scan, &token, Some(&counters)).expect("no deadline")
-    });
+    check::ConvergenceReport::check_metered(&ring, seq, &token, Some(&counters), Some(&phases))
+        .expect("no deadline");
     let snap = phases.snapshot();
     let phases_red = PhaseTimes::new();
-    let scan_red = phases_red.time(Phase::FusedScan, || {
-        fused_scan_metered(&ring, &reduced_cfg, &token, Some(&counters)).expect("no deadline")
-    });
-    let _ = phases_red.time(Phase::LivelockDfs, || {
-        find_livelock_metered(&ring, &scan_red, &token, Some(&counters)).expect("no deadline")
-    });
+    check::ConvergenceReport::check_metered(
+        &ring,
+        &reduced_cfg,
+        &token,
+        Some(&counters),
+        Some(&phases_red),
+    )
+    .expect("no deadline");
     let snap_red = phases_red.snapshot();
     let scan_full_us = snap.micros[Phase::FusedScan.index()] as f64;
     let scan_red_us = snap_red.micros[Phase::FusedScan.index()] as f64;
@@ -174,8 +172,8 @@ fn bench_engine_comparison(_c: &mut Criterion) {
     // stops being interactive; the reduced engine keeps it there.
     let k_max = 12;
     let ring_max = RingInstance::symmetric(&p, k_max).unwrap();
-    let full_max = check::ConvergenceReport::check_with(&ring_max, &full_seq);
-    let red_max = check::ConvergenceReport::check_with(&ring_max, &reduced_cfg);
+    let full_max = check::ConvergenceReport::check(&ring_max, &full_seq);
+    let red_max = check::ConvergenceReport::check(&ring_max, &reduced_cfg);
     assert_eq!(full_max.legit_count, red_max.legit_count);
     assert_eq!(
         full_max.illegitimate_deadlocks,
@@ -183,13 +181,10 @@ fn bench_engine_comparison(_c: &mut Criterion) {
     );
     assert_eq!(full_max.livelock, red_max.livelock);
     let max_full_us = timed_min(reps, || {
-        std::hint::black_box(check::ConvergenceReport::check_with(&ring_max, &full_seq));
+        std::hint::black_box(check::ConvergenceReport::check(&ring_max, &full_seq));
     });
     let max_reduced_us = timed_min(reps, || {
-        std::hint::black_box(check::ConvergenceReport::check_with(
-            &ring_max,
-            &reduced_cfg,
-        ));
+        std::hint::black_box(check::ConvergenceReport::check(&ring_max, &reduced_cfg));
     });
 
     let speedup_seq = seed_us / fused_seq_us;

@@ -16,7 +16,7 @@ use selfstab_core::{
 use selfstab_global::{
     check,
     schedule::{equivalent_schedules, Schedule},
-    RingInstance, Simulator,
+    EngineConfig, RingInstance, Simulator,
 };
 use selfstab_protocol::{LocalTransition, Protocol};
 use selfstab_protocols::{agreement, coloring, dijkstra, matching, sum_not_two};
@@ -66,7 +66,7 @@ pub fn e2() {
     );
     for k in 3..=8 {
         let ring = RingInstance::symmetric(&p, k).unwrap();
-        let (rep, us) = timed(|| check::ConvergenceReport::check(&ring));
+        let (rep, us) = timed(|| check::ConvergenceReport::check(&ring, &EngineConfig::default()));
         println!(
             "{:<4} {:>10} {:>12} {:>10} {:>12}",
             k,
@@ -371,7 +371,7 @@ pub fn e12() {
             }
             let ring = RingInstance::symmetric(p, k).unwrap();
             let us = timed_mean(3, || {
-                let _ = check::ConvergenceReport::check(&ring);
+                let _ = check::ConvergenceReport::check(&ring, &EngineConfig::default());
             });
             println!("{:<6} {:>12} {:>14}", k, ring.space().len(), fmt_us(us));
         }
@@ -532,7 +532,7 @@ pub fn x2() {
     );
     for k in 3..=6 {
         let ring = RingInstance::symmetric(&p, k).unwrap();
-        let rep = check::ConvergenceReport::check(&ring);
+        let rep = check::ConvergenceReport::check(&ring, &EngineConfig::default());
         let weak = check::weakly_converges(&ring);
         println!(
             "{:<4} {:>12} {:>12} {:>12}",

@@ -28,6 +28,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use selfstab_core::hash::{fnv64, fnv64_words};
+
 /// Mutable injection budgets, shared by every worker's view of the plan.
 #[derive(Debug, Default)]
 struct ChaosState {
@@ -49,8 +51,8 @@ impl ChaosPlan {
     /// A plan whose budgets are derived from `seed`: up to 4 injected
     /// panics and up to 1 forced cancellation per run.
     pub fn from_seed(seed: u64) -> Self {
-        let panics = fnv(&[seed, 0x70616e6963]) % 5; // 0..=4
-        let cancels = fnv(&[seed, 0x63616e63656c]) % 2; // 0..=1
+        let panics = fnv64_words(&[seed, 0x70616e6963]) % 5; // 0..=4
+        let cancels = fnv64_words(&[seed, 0x63616e63656c]) % 2; // 0..=1
         ChaosPlan::with_budgets(seed, panics, cancels)
     }
 
@@ -84,10 +86,10 @@ impl ChaosPlan {
         if self.always_panic {
             return true;
         }
-        let h = fnv(&[
+        let h = fnv64_words(&[
             self.seed,
             0x0070_616e_6963,
-            fnv_str(spec),
+            fnv64(spec.bytes()),
             k as u64,
             attempt as u64,
         ]);
@@ -98,7 +100,7 @@ impl ChaosPlan {
     /// analogue of a SIGINT landing mid-run)? Decided by seed hash
     /// (roughly one job in four), gated by the cancel budget.
     pub fn should_cancel(&self, spec: &str, k: usize) -> bool {
-        let h = fnv(&[self.seed, 0x6361_6e63_656c, fnv_str(spec), k as u64]);
+        let h = fnv64_words(&[self.seed, 0x6361_6e63_656c, fnv64(spec.bytes()), k as u64]);
         h.is_multiple_of(4) && take(&self.state.cancels_left)
     }
 
@@ -114,40 +116,19 @@ impl ChaosPlan {
         if len == 0 {
             return Ok(0);
         }
-        let new_len = fnv(&[seed, 0x746f_726e, len]) % len;
+        let new_len = fnv64_words(&[seed, 0x746f_726e, len]) % len;
         let file = std::fs::OpenOptions::new().write(true).open(path)?;
         file.set_len(new_len)?;
         Ok(new_len)
     }
 }
 
-/// Consumes one unit of `budget` if any remains.
-fn take(budget: &AtomicU64) -> bool {
+/// Consumes one unit of `budget` if any remains (shared with the
+/// service's chaos plan).
+pub fn take(budget: &AtomicU64) -> bool {
     budget
         .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
         .is_ok()
-}
-
-/// FNV-1a over a word sequence (the repo's standard no-dependency hash).
-fn fnv(words: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
-
-/// FNV-1a over a string's bytes.
-fn fnv_str(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

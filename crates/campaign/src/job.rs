@@ -1,6 +1,7 @@
 //! Jobs — the (spec, ring size) cells of a campaign's matrix — and their
 //! outcomes.
 
+use selfstab_global::ConvergenceReport;
 use serde_json::{json, Value};
 
 /// One cell of the campaign matrix: check `spec` at ring size `k`.
@@ -63,6 +64,22 @@ pub enum Outcome {
         /// Human-readable cause.
         message: String,
     },
+}
+
+/// The outcome of a completed check: verified iff the report is strongly
+/// self-stabilizing, otherwise the counterexample's shape.
+impl From<&ConvergenceReport> for Outcome {
+    fn from(report: &ConvergenceReport) -> Self {
+        if report.self_stabilizing() {
+            Outcome::Verified
+        } else {
+            Outcome::Failed {
+                closure_ok: report.closure_violation.is_none(),
+                deadlocks: report.illegitimate_deadlocks.len() as u64,
+                livelock_len: report.livelock.as_ref().map(|c| c.len() as u64),
+            }
+        }
+    }
 }
 
 impl Outcome {

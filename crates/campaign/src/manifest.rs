@@ -180,7 +180,7 @@ impl Manifest {
     /// mode and the prune toggle are excluded: they never change any
     /// verdict.
     pub fn fingerprint(&self) -> String {
-        // FNV-1a over a canonical rendering; no external hash deps.
+        // FNV-1a over a canonical rendering.
         let mut canon = String::new();
         for s in &self.specs {
             canon.push_str(s);
@@ -190,12 +190,7 @@ impl Manifest {
             "k={}..={};max_states={};timeout_ms={:?}",
             self.k_from, self.k_to, self.max_states, self.timeout_ms
         ));
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in canon.bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{hash:016x}")
+        format!("{:016x}", selfstab_core::hash::fnv64(canon.bytes()))
     }
 }
 
@@ -313,6 +308,13 @@ mod tests {
         )
         .unwrap();
         assert_ne!(m.fingerprint(), other.fingerprint());
+        // Pinned: journals written by earlier builds must still resume.
+        let pinned = Manifest::from_json_text(
+            r#"{"specs": ["specs/agreement.stab", "specs/mis.stab"], "k_from": 2, "k_to": 4, "max_states": 4096}"#,
+            &specs_dir(),
+        )
+        .unwrap();
+        assert_eq!(pinned.fingerprint(), "77652f75b24269d1");
     }
 
     #[test]

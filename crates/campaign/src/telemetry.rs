@@ -11,10 +11,10 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use selfstab_telemetry::{
-    EngineCountersSnapshot, Phase, PhaseSnapshot, PhaseTimes, Registry, TraceCollector,
+    EngineCountersSnapshot, Phase, PhaseSink, PhaseSnapshot, PhaseTimes, Registry, TraceCollector,
 };
 use serde_json::{json, Value};
 
@@ -80,28 +80,6 @@ impl CampaignTelemetry {
             trace: trace.then(TraceCollector::new),
             jobs: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// Runs `f` as one span of `phase` for the job `scope` describes:
-    /// the duration lands in the job's [`PhaseTimes`] and, when tracing,
-    /// as a complete event on the worker's trace lane.
-    pub fn time<T>(&self, scope: &JobScope<'_>, phase: Phase, f: impl FnOnce() -> T) -> T {
-        let ts = self.trace.as_ref().map(TraceCollector::now_us);
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed();
-        scope.job.phases.add(phase, elapsed);
-        if let (Some(trace), Some(ts)) = (&self.trace, ts) {
-            trace.complete(
-                phase.name(),
-                "job",
-                scope.worker as u64,
-                ts,
-                elapsed.as_micros() as u64,
-                json!({"spec": scope.spec, "k": scope.k}),
-            );
-        }
-        out
     }
 
     /// Records an instant trace event (e.g. `job_panicked`) on the
@@ -224,8 +202,8 @@ fn phase_histogram_name(phase: Phase) -> &'static str {
     }
 }
 
-/// A job's telemetry context on one worker: everything [`timed`] needs to
-/// attribute a span.
+/// A job's telemetry context on one worker: the [`PhaseSink`] the runner
+/// times every phase of the job into.
 pub(crate) struct JobScope<'a> {
     /// The campaign-wide sinks.
     pub tele: &'a CampaignTelemetry,
@@ -239,12 +217,20 @@ pub(crate) struct JobScope<'a> {
     pub k: usize,
 }
 
-/// Runs `f`, timing it as `phase` when a scope is present — the single
-/// seam through which the runner instruments without branching at every
-/// call site.
-pub(crate) fn timed<T>(scope: Option<&JobScope<'_>>, phase: Phase, f: impl FnOnce() -> T) -> T {
-    match scope {
-        Some(s) => s.tele.time(s, phase, f),
-        None => f(),
+/// Each span lands in the job's [`PhaseTimes`] and, when tracing, as a
+/// complete event on the worker's trace lane — the same `elapsed` in both.
+impl PhaseSink for JobScope<'_> {
+    fn record(&self, phase: Phase, start: Instant, elapsed: Duration) {
+        self.job.phases.add(phase, elapsed);
+        if let Some(trace) = &self.tele.trace {
+            trace.complete(
+                phase.name(),
+                "job",
+                self.worker as u64,
+                trace.ts_us(start),
+                elapsed.as_micros() as u64,
+                json!({"spec": self.spec, "k": self.k}),
+            );
+        }
     }
 }

@@ -204,6 +204,33 @@ fn trace_export_is_a_loadable_chrome_trace() {
         }
     }
     assert_eq!(fused, 6, "one fused_scan span per job");
+
+    // One measurement feeds both sinks: every job's phase totals equal
+    // the summed durations of its trace events, phase by phase.
+    let metrics = outcome.metrics.unwrap();
+    for row in metrics["jobs"].as_array().unwrap() {
+        let Value::Object(phases) = &row["phases_us"] else {
+            panic!("phases_us is an object: {row}");
+        };
+        for (phase, micros) in phases {
+            let traced: u64 = events
+                .iter()
+                .filter(|e| {
+                    e["name"] == phase.as_str()
+                        && e["args"]["spec"] == row["spec"]
+                        && e["args"]["k"] == row["k"]
+                })
+                .map(|e| e["dur"].as_u64().unwrap())
+                .sum();
+            assert_eq!(
+                micros.as_u64().unwrap(),
+                traced,
+                "{} K={} {phase}",
+                row["spec"],
+                row["k"]
+            );
+        }
+    }
 }
 
 #[test]

@@ -55,7 +55,7 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     let mut global_rows = Vec::new();
     for k in 2..=to {
         let ring = RingInstance::symmetric(&protocol, k)?;
-        let g = check::ConvergenceReport::check_with(&ring, &engine);
+        let g = check::ConvergenceReport::check(&ring, &engine);
         if !g.self_stabilizing() {
             all_ok = false;
         }

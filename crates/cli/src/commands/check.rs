@@ -29,7 +29,7 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     let mut json_rows = Vec::new();
     for k in from..=to {
         let ring = RingInstance::symmetric(&protocol, k)?;
-        let report = ConvergenceReport::check_with(&ring, &engine);
+        let report = ConvergenceReport::check(&ring, &engine);
         if args.flag("json") {
             json_rows.push(crate::json::convergence_report(&report));
             if !report.self_stabilizing() {

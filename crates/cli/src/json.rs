@@ -63,8 +63,8 @@ pub fn stabilization_report(protocol: &Protocol, report: &StabilizationReport) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfstab_global::check::ConvergenceReport;
     use selfstab_global::RingInstance;
+    use selfstab_global::{check::ConvergenceReport, EngineConfig};
     use selfstab_protocol::{Domain, Locality};
 
     fn protocol() -> Protocol {
@@ -93,7 +93,7 @@ mod tests {
     fn convergence_json_shape() {
         let p = protocol();
         let ring = RingInstance::symmetric(&p, 4).unwrap();
-        let r = ConvergenceReport::check(&ring);
+        let r = ConvergenceReport::check(&ring, &EngineConfig::default());
         let v = convergence_report(&r);
         assert_eq!(v["ring_size"], 4);
         assert_eq!(v["self_stabilizing"], true);

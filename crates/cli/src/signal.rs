@@ -11,7 +11,7 @@
 //! and every completed job is safely on disk for `--resume`.
 //!
 //! The `serve` subcommand additionally hooks **SIGTERM** (what service
-//! managers send on shutdown) through [`drain_token`]: either signal
+//! managers send on shutdown) through [`hook_drain`]: either signal
 //! fires the same token, the server stops accepting, in-flight jobs
 //! cancel cooperatively, and the process exits 130.
 //!

@@ -42,6 +42,25 @@ const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// 128-bit FNV-1a prime.
 const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
+/// 64-bit FNV-1a offset basis.
+const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// 64-bit FNV-1a prime.
+const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// 64-bit FNV-1a over a byte stream: the workspace's small no-dependency
+/// hash for seeded decisions and fingerprints (chaos plans, the campaign
+/// manifest fingerprint). Spec identity uses the 128-bit [`spec_hash`].
+pub fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(FNV64_OFFSET, |h, b| {
+        (h ^ b as u64).wrapping_mul(FNV64_PRIME)
+    })
+}
+
+/// [`fnv64`] over a word sequence, each word as its little-endian bytes.
+pub fn fnv64_words(words: &[u64]) -> u64 {
+    fnv64(words.iter().flat_map(|w| w.to_le_bytes()))
+}
+
 /// A canonical 128-bit content hash of a protocol spec.
 ///
 /// Obtained from [`spec_hash`]; renders as 32 lowercase hex digits.
@@ -246,6 +265,14 @@ action (0 == x[r]) && (1 == x[r-1]) -> x[r] := 1
                 );
             }
         }
+    }
+
+    #[test]
+    fn fnv64_matches_the_published_vectors() {
+        assert_eq!(fnv64([]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(*b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv64_words(&[0x006f_6f66]), fnv64(*b"foo\0\0\0\0\0"));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use selfstab_core::{
     deadlock::DeadlockAnalysis, livelock::LivelockAnalysis, local_closure_check,
     ltg::is_self_terminating, report::StabilizationReport,
 };
-use selfstab_global::{check, RingInstance};
+use selfstab_global::{check, EngineConfig, RingInstance};
 use selfstab_protocol::{Domain, LocalStateId, LocalTransition, Locality, Protocol};
 
 /// Random unidirectional protocol over domain size `d`.
@@ -223,7 +223,7 @@ proptest! {
         if r.is_self_stabilizing_for_all_k() {
             for k in 2..=6 {
                 let ring = RingInstance::symmetric(&p, k).unwrap();
-                let g = check::ConvergenceReport::check(&ring);
+                let g = check::ConvergenceReport::check(&ring, &EngineConfig::default());
                 prop_assert!(g.self_stabilizing(), "local verdict SS but global check fails at K={k}: {g}");
             }
         }

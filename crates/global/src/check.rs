@@ -1,6 +1,10 @@
 //! Global model checking: deadlocks, livelocks, closure, convergence.
 
-use crate::engine::{fused_scan, CancelToken, Cancelled, EngineConfig};
+use selfstab_telemetry::{span, EngineCounters, Phase, PhaseSink};
+
+use crate::engine::{
+    find_livelock_metered, fused_scan_metered, CancelToken, Cancelled, EngineConfig,
+};
 use crate::instance::{Move, RingInstance};
 use crate::state::GlobalStateId;
 
@@ -232,65 +236,45 @@ pub struct ConvergenceReport {
 }
 
 impl ConvergenceReport {
-    /// Runs the full check: closure, deadlock-freedom and livelock-freedom
-    /// outside `I(K)`. Sequential; see [`ConvergenceReport::check_with`]
-    /// for the parallel engine.
-    pub fn check(ring: &RingInstance) -> Self {
-        Self::check_with(ring, &EngineConfig::sequential())
+    /// Runs the full check without cancellation or telemetry: the
+    /// convenience form of [`ConvergenceReport::check_metered`]. The report
+    /// is identical for every `config.threads` and `config.symmetry`.
+    pub fn check(ring: &RingInstance, config: &EngineConfig) -> Self {
+        Self::check_metered(ring, config, &CancelToken::new(), None, None)
+            .expect("a fresh token never cancels the check")
     }
 
-    /// Runs the full check through the fused engine: the legitimacy count,
-    /// illegitimate deadlocks and first closure violation come from one
-    /// scan over the state space ([`fused_scan`]), and the livelock search
-    /// reuses that scan's legitimacy bitmap. The report is identical for
-    /// every `config.threads` value.
-    pub fn check_with(ring: &RingInstance, config: &EngineConfig) -> Self {
-        let scan = fused_scan(ring, config);
-        let livelock = crate::engine::find_livelock_with(ring, &scan);
-        ConvergenceReport {
-            ring_size: ring.ring_size(),
-            state_count: ring.space().len(),
-            legit_count: scan.legit_count,
-            closure_violation: scan.first_closure_violation,
-            illegitimate_deadlocks: scan.illegitimate_deadlocks,
-            livelock,
-        }
-    }
-
-    /// Like [`ConvergenceReport::check_with`], aborting early if `cancel`
-    /// fires (explicitly or by wall-clock deadline) mid-check. A completed
-    /// check is identical to an unbounded one; a cancelled check yields
-    /// [`Cancelled`] and no partial report, so callers can degrade to an
-    /// "over budget" outcome instead of wedging on an oversized instance.
+    /// Runs the full check through the fused engine — closure,
+    /// deadlock-freedom and livelock-freedom outside `I(K)` (Proposition
+    /// 2.1) — and is the one place a report is assembled. The legitimacy
+    /// count, illegitimate deadlocks and first closure violation come from
+    /// one scan over the state space ([`fused_scan_metered`]); the livelock
+    /// search ([`find_livelock_metered`]) reuses that scan's legitimacy
+    /// bitmap.
+    ///
+    /// `counters`, when given, receives the engine's work tallies (see the
+    /// two engine functions for which are thread-count-invariant).
+    /// `phases`, when given, receives one [`Phase::FusedScan`] and one
+    /// [`Phase::LivelockDfs`] span; with `None` no clock is read. A
+    /// completed check is identical whatever the token, counters or sink.
     ///
     /// # Errors
     ///
-    /// Returns [`Cancelled`] if the token fired before the check finished.
-    pub fn check_bounded(
-        ring: &RingInstance,
-        config: &EngineConfig,
-        cancel: &CancelToken,
-    ) -> Result<Self, Cancelled> {
-        Self::check_metered(ring, config, cancel, None)
-    }
-
-    /// Like [`ConvergenceReport::check_bounded`], optionally flushing the
-    /// engine's work counters into `counters` (see
-    /// [`fused_scan_metered`](crate::engine::fused_scan_metered) and
-    /// [`find_livelock_metered`](crate::engine::find_livelock_metered)
-    /// for what is counted and which values are thread-count-invariant).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] if the token fired before the check finished.
+    /// Returns [`Cancelled`] if `cancel` fired (explicitly or by deadline)
+    /// before the check finished; no partial report is produced.
     pub fn check_metered(
         ring: &RingInstance,
         config: &EngineConfig,
         cancel: &CancelToken,
-        counters: Option<&selfstab_telemetry::EngineCounters>,
+        counters: Option<&EngineCounters>,
+        phases: Option<&dyn PhaseSink>,
     ) -> Result<Self, Cancelled> {
-        let scan = crate::engine::fused_scan_metered(ring, config, cancel, counters)?;
-        let livelock = crate::engine::find_livelock_metered(ring, &scan, cancel, counters)?;
+        let scan = span(phases, Phase::FusedScan, || {
+            fused_scan_metered(ring, config, cancel, counters)
+        })?;
+        let livelock = span(phases, Phase::LivelockDfs, || {
+            find_livelock_metered(ring, &scan, cancel, counters)
+        })?;
         Ok(ConvergenceReport {
             ring_size: ring.ring_size(),
             state_count: ring.space().len(),
@@ -402,7 +386,7 @@ mod tests {
         let p = agreement(&["x[r-1] == 1 && x[r] == 0 -> x[r] := 1"]);
         for k in 2..=7 {
             let ring = RingInstance::symmetric(&p, k).unwrap();
-            let report = ConvergenceReport::check(&ring);
+            let report = ConvergenceReport::check(&ring, &EngineConfig::default());
             assert!(report.self_stabilizing(), "failed at K={k}: {report}");
             assert!(weakly_converges(&ring));
         }
@@ -415,7 +399,7 @@ mod tests {
             "x[r-1] == 1 && x[r] == 0 -> x[r] := 1",
         ]);
         let ring = RingInstance::symmetric(&p, 4).unwrap();
-        let report = ConvergenceReport::check(&ring);
+        let report = ConvergenceReport::check(&ring, &EngineConfig::default());
         assert!(report.closure_violation.is_none());
         assert!(report.illegitimate_deadlocks.is_empty());
         let cycle = report.livelock.expect("expected the Example 5.2 livelock");
@@ -456,7 +440,7 @@ mod tests {
             .build()
             .unwrap();
         let ring = RingInstance::symmetric(&p, 3).unwrap();
-        let report = ConvergenceReport::check(&ring);
+        let report = ConvergenceReport::check(&ring, &EngineConfig::default());
         assert!(report.closure_violation.is_some());
         assert!(!report.self_stabilizing());
     }
@@ -465,7 +449,7 @@ mod tests {
     fn report_display_mentions_everything() {
         let p = agreement(&["x[r-1] == 1 && x[r] == 0 -> x[r] := 1"]);
         let ring = RingInstance::symmetric(&p, 3).unwrap();
-        let text = ConvergenceReport::check(&ring).to_string();
+        let text = ConvergenceReport::check(&ring, &EngineConfig::default()).to_string();
         assert!(text.contains("closure: OK"));
         assert!(text.contains("deadlocks outside I: none"));
         assert!(text.contains("livelocks: none"));

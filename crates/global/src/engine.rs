@@ -1,11 +1,12 @@
 //! Fused, parallel, allocation-free convergence scanning.
 //!
-//! [`ConvergenceReport::check`](crate::check::ConvergenceReport::check)
+//! [`ConvergenceReport::check_metered`](crate::check::ConvergenceReport::check_metered)
 //! needs three facts about the global state space: the size of `I(K)`, the
 //! deadlocks outside `I(K)`, and whether `I(K)` is closed. The naive
 //! formulation makes three separate sweeps, each re-deriving every local
 //! state through [`GlobalSpace::value_at`](crate::state::GlobalSpace)
-//! (a `pow` per digit). [`fused_scan`] computes all three in **one** pass:
+//! (a `pow` per digit). [`fused_scan_metered`] computes all three in
+//! **one** pass:
 //!
 //! * global ids are enumerated in dense ascending order while a mixed-radix
 //!   digit buffer is incremented in place, so no division or `pow` is spent
@@ -16,7 +17,7 @@
 //! * the closure check for a legitimate state only re-encodes the ≤ `w`
 //!   windows that actually cover the written position;
 //! * the sweep also records a legitimacy bitmap that the livelock search
-//!   ([`find_livelock_with`]) reuses, making `is_legit` a single bit test
+//!   ([`find_livelock_metered`]) reuses, making `is_legit` a single bit test
 //!   during the DFS.
 //!
 //! The id range is split into 64-aligned chunks handed to a scoped thread
@@ -263,7 +264,7 @@ pub struct FusedScan {
     legit_bits: Vec<u64>,
     /// Set by the reduced scan: every illegitimate necklace representative,
     /// in ascending id order — the livelock frontier. `None` after a full
-    /// scan, which tells [`find_livelock_with`] to walk the dense space.
+    /// scan, which tells [`find_livelock_metered`] to walk the dense space.
     frontier: Option<Vec<GlobalStateId>>,
 }
 
@@ -597,32 +598,14 @@ fn scan_reduced(
 /// Runs the fused sweep. With `config.threads <= 1` the scan is a single
 /// sequential chunk; otherwise 64-aligned chunks are distributed over
 /// scoped worker threads and merged in ascending chunk order, so the
-/// result is identical to the sequential one.
-pub fn fused_scan(ring: &RingInstance, config: &EngineConfig) -> FusedScan {
-    fused_scan_bounded(ring, config, &CancelToken::new())
-        .expect("a fresh token never cancels the scan")
-}
-
-/// Like [`fused_scan`], aborting early with [`Cancelled`] if `cancel` fires
-/// (explicitly or by deadline) before the sweep completes. A completed
-/// sweep is identical to an unbounded one.
+/// result is identical to the sequential one. The sweep aborts early with
+/// [`Cancelled`] if `cancel` fires (explicitly or by deadline); a
+/// completed sweep does not depend on the token.
 ///
-/// # Errors
-///
-/// Returns [`Cancelled`] if the token fired before the scan finished.
-pub fn fused_scan_bounded(
-    ring: &RingInstance,
-    config: &EngineConfig,
-    cancel: &CancelToken,
-) -> Result<FusedScan, Cancelled> {
-    fused_scan_metered(ring, config, cancel, None)
-}
-
-/// Like [`fused_scan_bounded`], optionally flushing work counters into
-/// `counters` (states visited, legitimate states, deadlocks, closure
-/// checks, cancel polls). Counters are accumulated per chunk in plain
-/// locals and flushed once at chunk end, so the scan loop pays nothing;
-/// with `counters: None` this **is** [`fused_scan_bounded`].
+/// `counters`, when given, receives the work tallies (states visited,
+/// legitimate states, deadlocks, closure checks, cancel polls). They are
+/// accumulated per chunk in plain locals and flushed once at chunk end,
+/// so the scan loop pays nothing; `None` does no telemetry work at all.
 ///
 /// For a *completed* scan every flushed counter except `closure_checks`
 /// is identical for every `config.threads` value (`closure_checks`
@@ -717,33 +700,14 @@ pub fn fused_scan_metered(
 /// successor's global id is `parent ± Δ·d^(K-1-i)` — no `pow`, and division
 /// only when decoding a DFS root. Visit order is identical to
 /// [`find_livelock_where`](crate::check::find_livelock_where), so both
-/// return the same cycle witness.
-pub fn find_livelock_with(ring: &RingInstance, scan: &FusedScan) -> Option<Vec<GlobalStateId>> {
-    find_livelock_bounded(ring, scan, &CancelToken::new())
-        .expect("a fresh token never cancels the search")
-}
-
-/// Like [`find_livelock_with`], aborting early with [`Cancelled`] if
-/// `cancel` fires before the search completes. A completed search returns
-/// the same witness as the unbounded one.
+/// return the same cycle witness. The search aborts early with
+/// [`Cancelled`] if `cancel` fires.
 ///
-/// # Errors
-///
-/// Returns [`Cancelled`] if the token fired before the search finished.
-pub fn find_livelock_bounded(
-    ring: &RingInstance,
-    scan: &FusedScan,
-    cancel: &CancelToken,
-) -> Result<Option<Vec<GlobalStateId>>, Cancelled> {
-    find_livelock_metered(ring, scan, cancel, None)
-}
-
-/// Like [`find_livelock_bounded`], optionally flushing work counters into
-/// `counters` (DFS steps, deepest stack, cancel polls). The search is
-/// sequential, so for a completed search every flushed value is a pure
-/// function of the instance (and of the scan's symmetry mode). Counters
-/// accumulate in plain locals and flush once when the search completes; a
-/// [`Cancelled`] search flushes nothing.
+/// `counters`, when given, receives the DFS steps, deepest stack and
+/// cancel polls. The search is sequential, so for a completed search every
+/// flushed value is a pure function of the instance (and of the scan's
+/// symmetry mode). Counters accumulate in plain locals and flush once when
+/// the search completes; a [`Cancelled`] search flushes nothing.
 ///
 /// When `scan` came from the reduced sweep (it carries a frontier of
 /// illegitimate necklaces), the search runs **verdict-first**: a tricolor
@@ -1075,8 +1039,18 @@ mod tests {
             .unwrap()
     }
 
+    /// A completed scan under a fresh token, no counters.
+    fn run_scan(ring: &RingInstance, config: &EngineConfig) -> FusedScan {
+        fused_scan_metered(ring, config, &CancelToken::new(), None).unwrap()
+    }
+
+    /// A completed livelock search under a fresh token, no counters.
+    fn run_livelock(ring: &RingInstance, scan: &FusedScan) -> Option<Vec<GlobalStateId>> {
+        find_livelock_metered(ring, scan, &CancelToken::new(), None).unwrap()
+    }
+
     fn assert_scan_matches_naive(ring: &RingInstance, threads: usize) {
-        let scan = fused_scan(ring, &EngineConfig::with_threads(threads));
+        let scan = run_scan(ring, &EngineConfig::with_threads(threads));
         let naive_legit = ring.space().ids().filter(|&s| ring.is_legit(s)).count() as u64;
         assert_eq!(scan.legit_count, naive_legit, "legit count (t={threads})");
         assert_eq!(
@@ -1122,9 +1096,9 @@ mod tests {
             .build()
             .unwrap();
         let ring = RingInstance::symmetric(&p, 5).unwrap();
-        let seq = fused_scan(&ring, &EngineConfig::sequential());
+        let seq = run_scan(&ring, &EngineConfig::sequential());
         for threads in [2, 3, 8] {
-            let par = fused_scan(&ring, &EngineConfig::with_threads(threads));
+            let par = run_scan(&ring, &EngineConfig::with_threads(threads));
             assert_eq!(par.first_closure_violation, seq.first_closure_violation);
         }
         assert_eq!(
@@ -1184,7 +1158,7 @@ mod tests {
         // With x[r-1] and x[r+1] aliasing x[r], both states are legit and
         // no guard can fire: a correct degenerate scan reports exactly
         // that instead of an empty sweep.
-        let scan = fused_scan(&ring, &EngineConfig::sequential());
+        let scan = run_scan(&ring, &EngineConfig::sequential());
         assert_eq!(scan.legit_count, 2);
         assert!(scan.illegitimate_deadlocks.is_empty());
     }
@@ -1200,16 +1174,19 @@ mod tests {
         fired.cancel();
         for threads in [1, 3] {
             assert_eq!(
-                fused_scan_bounded(&ring, &EngineConfig::with_threads(threads), &fired).err(),
+                fused_scan_metered(&ring, &EngineConfig::with_threads(threads), &fired, None).err(),
                 Some(Cancelled)
             );
         }
-        let scan = fused_scan(&ring, &EngineConfig::sequential());
-        assert_eq!(find_livelock_bounded(&ring, &scan, &fired), Err(Cancelled));
+        let scan = run_scan(&ring, &EngineConfig::sequential());
+        assert_eq!(
+            find_livelock_metered(&ring, &scan, &fired, None),
+            Err(Cancelled)
+        );
         // An expired deadline behaves like an explicit cancel.
         let expired = CancelToken::with_deadline(Instant::now());
         assert!(expired.is_cancelled());
-        assert!(fused_scan_bounded(&ring, &EngineConfig::sequential(), &expired).is_err());
+        assert!(fused_scan_metered(&ring, &EngineConfig::sequential(), &expired, None).is_err());
     }
 
     #[test]
@@ -1245,13 +1222,13 @@ mod tests {
         let p = agreement(&["x[r-1] == 1 && x[r] == 0 -> x[r] := 1"]);
         let ring = RingInstance::symmetric(&p, 5).unwrap();
         let token = CancelToken::with_deadline(Instant::now() + std::time::Duration::from_secs(60));
-        let bounded = fused_scan_bounded(&ring, &EngineConfig::sequential(), &token).unwrap();
-        let plain = fused_scan(&ring, &EngineConfig::sequential());
+        let bounded = fused_scan_metered(&ring, &EngineConfig::sequential(), &token, None).unwrap();
+        let plain = run_scan(&ring, &EngineConfig::sequential());
         assert_eq!(bounded.legit_count, plain.legit_count);
         assert_eq!(bounded.illegitimate_deadlocks, plain.illegitimate_deadlocks);
         assert_eq!(
-            find_livelock_bounded(&ring, &bounded, &token).unwrap(),
-            find_livelock_with(&ring, &plain)
+            find_livelock_metered(&ring, &bounded, &token, None).unwrap(),
+            run_livelock(&ring, &plain)
         );
     }
 
@@ -1303,7 +1280,7 @@ mod tests {
         }
 
         // Metered with `None` changes no result.
-        let plain = fused_scan(&ring, &EngineConfig::sequential());
+        let plain = run_scan(&ring, &EngineConfig::sequential());
         assert_eq!(plain.legit_count, scan.legit_count);
     }
 
@@ -1312,8 +1289,8 @@ mod tests {
     fn assert_reduced_matches_full(ring: &RingInstance, ctx: &str) {
         let full_cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Full);
         let red_cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced);
-        let full = fused_scan(ring, &full_cfg);
-        let red = fused_scan(ring, &red_cfg);
+        let full = run_scan(ring, &full_cfg);
+        let red = run_scan(ring, &red_cfg);
         assert_eq!(red.legit_count, full.legit_count, "{ctx}: legit_count");
         assert_eq!(
             red.illegitimate_deadlocks, full.illegitimate_deadlocks,
@@ -1327,8 +1304,8 @@ mod tests {
             assert_eq!(red.is_legit(s), full.is_legit(s), "{ctx}: bitmap at {s}");
         }
         assert_eq!(
-            find_livelock_with(ring, &red),
-            find_livelock_with(ring, &full),
+            run_livelock(ring, &red),
+            run_livelock(ring, &full),
             "{ctx}: livelock witness"
         );
     }
@@ -1426,7 +1403,7 @@ mod tests {
             0,
             "no necklace walk on an asymmetric ring"
         );
-        let full = fused_scan(
+        let full = run_scan(
             &ring,
             &EngineConfig::sequential().with_symmetry(SymmetryMode::Full),
         );
@@ -1445,11 +1422,14 @@ mod tests {
         fired.cancel();
         let cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced);
         assert_eq!(
-            fused_scan_bounded(&ring, &cfg, &fired).err(),
+            fused_scan_metered(&ring, &cfg, &fired, None).err(),
             Some(Cancelled)
         );
-        let scan = fused_scan(&ring, &cfg);
-        assert_eq!(find_livelock_bounded(&ring, &scan, &fired), Err(Cancelled));
+        let scan = run_scan(&ring, &cfg);
+        assert_eq!(
+            find_livelock_metered(&ring, &scan, &fired, None),
+            Err(Cancelled)
+        );
     }
 
     #[test]
@@ -1485,8 +1465,8 @@ mod tests {
         ]);
         for k in 2..=6 {
             let ring = RingInstance::symmetric(&p, k).unwrap();
-            let scan = fused_scan(&ring, &EngineConfig::sequential());
-            let a = find_livelock_with(&ring, &scan);
+            let scan = run_scan(&ring, &EngineConfig::sequential());
+            let a = run_livelock(&ring, &scan);
             let b = check::find_livelock(&ring);
             assert_eq!(a, b, "K={k}");
         }

@@ -61,8 +61,7 @@ pub mod symmetry;
 
 pub use check::{find_livelock, global_deadlocks, ConvergenceReport};
 pub use engine::{
-    fused_scan, fused_scan_bounded, fused_scan_metered, CancelToken, Cancelled, EngineConfig,
-    FusedScan, SymmetryMode,
+    fused_scan_metered, CancelToken, Cancelled, EngineConfig, FusedScan, SymmetryMode,
 };
 pub use error::GlobalError;
 pub use instance::{Move, RingInstance};

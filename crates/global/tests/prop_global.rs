@@ -189,7 +189,7 @@ proptest! {
     #[test]
     fn strong_convergence_implies_simulation_converges(p in arb_protocol(2), k in 2usize..6, seed in any::<u64>()) {
         let ring = RingInstance::symmetric(&p, k).unwrap();
-        let report = check::ConvergenceReport::check(&ring);
+        let report = check::ConvergenceReport::check(&ring, &EngineConfig::default());
         // Only meaningful when I is closed: otherwise a run may leave I again.
         if report.self_stabilizing() {
             let mut sim = Simulator::new(&ring, seed);
@@ -205,7 +205,7 @@ proptest! {
     #[test]
     fn strong_implies_weak(p in arb_protocol(2), k in 2usize..6) {
         let ring = RingInstance::symmetric(&p, k).unwrap();
-        let report = check::ConvergenceReport::check(&ring);
+        let report = check::ConvergenceReport::check(&ring, &EngineConfig::default());
         if report.strongly_converges() {
             prop_assert!(check::weakly_converges(&ring));
         }
@@ -216,7 +216,7 @@ proptest! {
     #[test]
     fn worst_case_recovery_dominates_simulation(p in arb_protocol(2), k in 2usize..6, seed in any::<u64>()) {
         let ring = RingInstance::symmetric(&p, k).unwrap();
-        let report = check::ConvergenceReport::check(&ring);
+        let report = check::ConvergenceReport::check(&ring, &EngineConfig::default());
         let wc = selfstab_global::faults::worst_case_recovery(&ring);
         prop_assert_eq!(wc.is_some(), report.strongly_converges());
         if let Some(bound) = wc {
@@ -311,8 +311,8 @@ proptest! {
     #[test]
     fn parallel_engine_matches_sequential(p in arb_protocol(2), k in 2usize..=7, threads in 2usize..=8) {
         let ring = RingInstance::symmetric(&p, k).unwrap();
-        let seq = check::ConvergenceReport::check_with(&ring, &EngineConfig::sequential());
-        let par = check::ConvergenceReport::check_with(&ring, &EngineConfig::with_threads(threads));
+        let seq = check::ConvergenceReport::check(&ring, &EngineConfig::sequential());
+        let par = check::ConvergenceReport::check(&ring, &EngineConfig::with_threads(threads));
         prop_assert_eq!(seq.ring_size, par.ring_size);
         prop_assert_eq!(seq.state_count, par.state_count);
         prop_assert_eq!(seq.legit_count, par.legit_count);
@@ -328,11 +328,11 @@ proptest! {
     #[test]
     fn reduced_engine_matches_full(p in arb_protocol(2), k in 1usize..=7, threads in 1usize..=8) {
         let ring = RingInstance::symmetric(&p, k).unwrap();
-        let reduced = check::ConvergenceReport::check_with(
+        let reduced = check::ConvergenceReport::check(
             &ring,
             &EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced),
         );
-        let full = check::ConvergenceReport::check_with(
+        let full = check::ConvergenceReport::check(
             &ring,
             &EngineConfig::with_threads(threads).with_symmetry(SymmetryMode::Full),
         );

@@ -53,8 +53,8 @@ fn parallel_matches_sequential_on_every_spec() {
             parse_protocol_file(&source).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         for k in 2..=8 {
             let ring = RingInstance::symmetric(&protocol, k).unwrap();
-            let seq = ConvergenceReport::check_with(&ring, &EngineConfig::sequential());
-            let par = ConvergenceReport::check_with(&ring, &EngineConfig::with_threads(4));
+            let seq = ConvergenceReport::check(&ring, &EngineConfig::sequential());
+            let par = ConvergenceReport::check(&ring, &EngineConfig::with_threads(4));
             let ctx = format!("{} at K={k}", path.display());
             assert_reports_equal(&seq, &par, &ctx);
             // The fused sequential path must also agree with the plain
@@ -85,12 +85,12 @@ fn reduced_matches_full_on_every_spec() {
             parse_protocol_file(&source).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         for k in 2..=8 {
             let ring = RingInstance::symmetric(&protocol, k).unwrap();
-            let reduced = ConvergenceReport::check_with(
+            let reduced = ConvergenceReport::check(
                 &ring,
                 &EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced),
             );
             for threads in [1usize, 4] {
-                let full = ConvergenceReport::check_with(
+                let full = ConvergenceReport::check(
                     &ring,
                     &EngineConfig::with_threads(threads).with_symmetry(SymmetryMode::Full),
                 );

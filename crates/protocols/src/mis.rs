@@ -44,7 +44,7 @@ mod tests {
     use selfstab_core::{
         deadlock::DeadlockAnalysis, livelock::LivelockAnalysis, local_closure_check,
     };
-    use selfstab_global::{check, RingInstance};
+    use selfstab_global::{check, EngineConfig, RingInstance};
 
     #[test]
     fn deadlocks_are_exactly_the_legitimate_windows() {
@@ -69,7 +69,7 @@ mod tests {
         let p = maximal_independent_set();
         for k in 2..=7 {
             let ring = RingInstance::symmetric(&p, k).unwrap();
-            let r = check::ConvergenceReport::check(&ring);
+            let r = check::ConvergenceReport::check(&ring, &EngineConfig::default());
             assert!(r.self_stabilizing(), "K={k}: {r}");
         }
     }

@@ -11,7 +11,7 @@ use selfstab_core::{
 use selfstab_global::{
     check,
     schedule::{dependent_pairs, equivalent_schedules, Schedule},
-    RingInstance,
+    EngineConfig, RingInstance,
 };
 use selfstab_protocol::LocalTransition;
 use selfstab_protocols::{agreement, coloring, dijkstra, matching, sum_not_two};
@@ -44,7 +44,7 @@ fn e2_generalizable_matching() {
     assert!(local_closure_check(&p).is_ok());
     for k in 3..=8 {
         let ring = RingInstance::symmetric(&p, k).unwrap();
-        let report = check::ConvergenceReport::check(&ring);
+        let report = check::ConvergenceReport::check(&ring, &EngineConfig::default());
         assert!(report.self_stabilizing(), "K={k}: {report}");
     }
 }

@@ -26,8 +26,11 @@
 //!
 //! [`ChaosPlan`]: selfstab_campaign::ChaosPlan
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+
+use selfstab_campaign::chaos::take;
+use selfstab_core::hash::{fnv64, fnv64_words};
 
 /// Shared mutable budgets (one set per server, shared by all handlers).
 #[derive(Debug, Default)]
@@ -47,8 +50,8 @@ impl ServeChaos {
     /// A plan whose budgets derive from `seed`: up to 4 injected job
     /// panics and up to 3 torn responses per server lifetime.
     pub fn from_seed(seed: u64) -> Self {
-        let panics = fnv(&[seed, 0x0070_616e_6963]) % 5; // 0..=4
-        let tears = fnv(&[seed, 0x7465_6172]) % 4; // 0..=3
+        let panics = fnv64_words(&[seed, 0x0070_616e_6963]) % 5; // 0..=4
+        let tears = fnv64_words(&[seed, 0x7465_6172]) % 4; // 0..=3
         ServeChaos::with_budgets(seed, panics, tears)
     }
 
@@ -67,45 +70,21 @@ impl ServeChaos {
     /// an injected panic? Roughly one attempt in two by seed hash, gated
     /// by the remaining panic budget — so retries eventually get through.
     pub fn should_panic(&self, key: &str, attempt: u32) -> bool {
-        let h = fnv(&[self.seed, 0x0070_616e_6963, fnv_str(key), attempt as u64]);
+        let h = fnv64_words(&[
+            self.seed,
+            0x0070_616e_6963,
+            fnv64(key.bytes()),
+            attempt as u64,
+        ]);
         h.is_multiple_of(2) && take(&self.state.panics_left)
     }
 
     /// Should this response be torn mid-write? Decided per response by a
     /// seeded connection counter, gated by the tear budget.
     pub fn should_tear_response(&self, response_index: u64) -> bool {
-        let h = fnv(&[self.seed, 0x746f_726e, response_index]);
+        let h = fnv64_words(&[self.seed, 0x746f_726e, response_index]);
         h.is_multiple_of(3) && take(&self.state.tears_left)
     }
-}
-
-/// Consumes one unit of `budget` if any remains.
-fn take(budget: &AtomicU64) -> bool {
-    budget
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-        .is_ok()
-}
-
-/// FNV-1a over a word sequence (the repo's standard no-dependency hash).
-fn fnv(words: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
-
-/// FNV-1a over a string's bytes.
-fn fnv_str(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

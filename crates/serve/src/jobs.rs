@@ -19,12 +19,11 @@ use std::time::{Duration, Instant};
 use selfstab_campaign::telemetry::JobTelemetry;
 use selfstab_core::{spec_hash, SpecHash};
 use selfstab_global::check::ConvergenceReport;
-use selfstab_global::engine::{find_livelock_metered, fused_scan_metered};
 use selfstab_global::{instance, CancelToken, EngineConfig, RingInstance, SymmetryMode};
 use selfstab_protocol::file::parse_protocol_file;
 use selfstab_protocol::Protocol;
 use selfstab_synth::{LocalSynthesizer, SynthesisConfig};
-use selfstab_telemetry::{EngineCounters, Phase, SynthesisCounters};
+use selfstab_telemetry::{EngineCounters, Phase, PhaseSink, SynthesisCounters};
 use serde_json::{json, Value};
 
 use crate::cache::CachedDoc;
@@ -319,34 +318,29 @@ impl JobRequest {
 
     /// The content address of this request's *completed* result: the
     /// canonical spec hash plus every input the rendered document depends
-    /// on. Engine `threads` is deliberately excluded (documents are
-    /// thread-count-invariant), as is `timeout_ms` (only completed,
-    /// deadline-independent results are ever cached). `synthesize` keys
-    /// additionally carry the synthesis budgets and the prune mode —
-    /// differing budgets truncate the outcome differently, so they must
-    /// not alias to the same cached bytes.
+    /// on — the kind, the K range and `max_states`, and for `synthesize`
+    /// the synthesis budgets (differing budgets truncate the outcome
+    /// differently, so they must not alias to the same cached bytes).
+    ///
+    /// Knobs that by contract never change a completed document's bytes
+    /// are excluded, so requests differing only in them share one entry:
+    /// engine `threads`, the `symmetry` mode and the `prune` mode (pinned
+    /// byte-invariant by the full-vs-reduced and pruned-vs-full gates), and
+    /// `timeout_ms` (only completed, deadline-independent results are ever
+    /// cached).
     pub fn cache_key(&self) -> String {
-        let symmetry = match self.symmetry {
-            SymmetryMode::Auto => "auto",
-            SymmetryMode::Full => "full",
-            SymmetryMode::Reduced => "reduced",
-        };
         let mut key = format!(
-            "{}:{}:{}..{}:{}:{}",
+            "{}:{}:{}..{}:{}",
             self.hash,
             self.kind.name(),
             self.k_from,
             self.k_to,
             self.max_states,
-            symmetry,
         );
         if self.kind == JobKind::Synthesize {
             key.push_str(&format!(
-                ":s{}:c{}:r{}:{}",
-                self.max_solutions,
-                self.max_combinations,
-                self.max_resolve_sets,
-                if self.prune { "pruned" } else { "full" },
+                ":s{}:c{}:r{}",
+                self.max_solutions, self.max_combinations, self.max_resolve_sets,
             ));
         }
         key
@@ -469,20 +463,27 @@ pub fn execute(
     }
 }
 
-/// Times `f` as `phase` in the job's phase accumulator and, when traced,
-/// as an engine span carrying `args`.
-fn timed_phase<T>(
-    telemetry: &JobTelemetry,
-    trace: Option<&JobTrace>,
-    phase: Phase,
+/// A job's phase sink: each span lands in the job's phase totals and,
+/// when the job is traced, as an engine span carrying `args` on its lane —
+/// the same `elapsed` in both.
+struct JobSink<'a> {
+    telemetry: &'a JobTelemetry,
+    trace: Option<&'a JobTrace>,
     args: Value,
-    f: impl FnOnce() -> T,
-) -> T {
-    match trace {
-        Some(trace) => trace.time(phase.name(), "engine", args, || {
-            telemetry.phases.time(phase, f)
-        }),
-        None => telemetry.phases.time(phase, f),
+}
+
+impl PhaseSink for JobSink<'_> {
+    fn record(&self, phase: Phase, start: Instant, elapsed: Duration) {
+        self.telemetry.phases.add(phase, elapsed);
+        if let Some(trace) = self.trace {
+            trace.span(
+                phase.name(),
+                "engine",
+                trace.ts_us(start),
+                elapsed.as_micros() as u64,
+                self.args.clone(),
+            );
+        }
     }
 }
 
@@ -506,33 +507,20 @@ fn execute_check(
                 }
             }
         };
-        let scan = match timed_phase(telemetry, trace, Phase::FusedScan, json!({"k": k}), || {
-            fused_scan_metered(&ring, &engine, cancel, Some(&counters))
-        })
-        .ok()
-        {
-            Some(scan) => scan,
-            None => return cancelled_check(rows, &counters, telemetry),
-        };
-        let livelock = match timed_phase(
+        let sink = JobSink {
             telemetry,
             trace,
-            Phase::LivelockDfs,
-            json!({"k": k}),
-            || find_livelock_metered(&ring, &scan, cancel, Some(&counters)),
-        )
-        .ok()
-        {
-            Some(livelock) => livelock,
-            None => return cancelled_check(rows, &counters, telemetry),
+            args: json!({"k": k}),
         };
-        let report = ConvergenceReport {
-            ring_size: ring.ring_size(),
-            state_count: ring.space().len(),
-            legit_count: scan.legit_count,
-            closure_violation: scan.first_closure_violation,
-            illegitimate_deadlocks: scan.illegitimate_deadlocks,
-            livelock,
+        let report = match ConvergenceReport::check_metered(
+            &ring,
+            &engine,
+            cancel,
+            Some(&counters),
+            Some(&sink),
+        ) {
+            Ok(report) => report,
+            Err(_) => return cancelled_check(rows, &counters, telemetry),
         };
         if !report.self_stabilizing() {
             all_ok = false;
@@ -574,21 +562,17 @@ fn execute_synthesis(
         ..SynthesisConfig::default()
     };
     let counters = SynthesisCounters::new();
-    // The synthesizer attributes `Phase::Synthesis` internally; the
-    // trace span wraps the whole run so the engine work still shows on
-    // the job's lane.
-    let run = || {
-        LocalSynthesizer::new(config).synthesize_metered(
-            &req.protocol,
-            cancel,
-            Some(&counters),
-            Some(&telemetry.phases),
-        )
+    let sink = JobSink {
+        telemetry,
+        trace,
+        args: Value::Null,
     };
-    let result = match trace {
-        Some(t) => t.time(Phase::Synthesis.name(), "engine", Value::Null, run),
-        None => run(),
-    };
+    let result = LocalSynthesizer::new(config).synthesize_metered(
+        &req.protocol,
+        cancel,
+        Some(&counters),
+        Some(&sink),
+    );
     let outcome = match result {
         Ok(outcome) => outcome,
         Err(e) => {
@@ -639,7 +623,6 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         assert_eq!(req.threads, 1);
         let key = req.cache_key();
         assert!(key.contains(":verify:4..4:"), "key was {key}");
-        assert!(key.ends_with(":auto"));
         assert!(key.starts_with(&req.hash.to_string()));
     }
 
@@ -699,6 +682,14 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         // Different K → different address.
         let c = JobRequest::from_json(&spec_body("\"kind\": \"verify\", \"k\": 5")).unwrap();
         assert_ne!(a.cache_key(), c.cache_key());
+        // The byte-invariant symmetry mode never splits the address.
+        for mode in ["auto", "full", "reduced"] {
+            let req = JobRequest::from_json(&spec_body(&format!(
+                "\"kind\": \"verify\", \"k\": 4, \"symmetry\": \"{mode}\""
+            )))
+            .unwrap();
+            assert_eq!(req.cache_key(), a.cache_key(), "symmetry {mode}");
+        }
     }
 
     #[test]
@@ -710,14 +701,13 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         assert_eq!(base.max_resolve_sets, 32);
         assert!(base.prune);
 
-        // Regression: every synthesis knob must perturb the cache key —
+        // Regression: every synthesis budget must perturb the cache key —
         // before they were keyed, a `max_combinations: 1` request was
         // answered with the full-budget document.
         let variants = [
             "\"kind\": \"synthesize\", \"max_solutions\": 1",
             "\"kind\": \"synthesize\", \"max_combinations\": 1",
             "\"kind\": \"synthesize\", \"max_resolve_sets\": 1",
-            "\"kind\": \"synthesize\", \"prune\": false",
         ];
         let mut keys = vec![base.cache_key()];
         for extra in variants {
@@ -727,10 +717,14 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         let unique: std::collections::BTreeSet<&String> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len(), "aliased keys: {keys:?}");
 
-        // An explicit default is the same address as an omitted knob.
-        let explicit =
-            JobRequest::from_json(&spec_body("\"kind\": \"synthesize\", \"prune\": true")).unwrap();
-        assert_eq!(explicit.cache_key(), base.cache_key());
+        // An explicit default is the same address as an omitted knob, and
+        // the outcome-invariant prune mode never splits the address.
+        for extra in ["\"prune\": true", "\"prune\": false"] {
+            let req =
+                JobRequest::from_json(&spec_body(&format!("\"kind\": \"synthesize\", {extra}")))
+                    .unwrap();
+            assert_eq!(req.cache_key(), base.cache_key(), "{extra}");
+        }
     }
 
     #[test]
@@ -758,7 +752,7 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         assert_eq!(doc.exit_code, 0);
         // Byte-identity with the CLI path: same row builder, same framing.
         let ring = RingInstance::symmetric(&req.protocol, 4).unwrap();
-        let report = ConvergenceReport::check(&ring);
+        let report = ConvergenceReport::check(&ring, &EngineConfig::default());
         let expected = render::check_document(vec![render::convergence_report(&report)]);
         assert_eq!(doc.body, expected);
         // Phases were attributed.

@@ -564,9 +564,12 @@ impl ServeState {
         // The table lock spans reserve + insert so a coalesced submit
         // never hands out a job id before that job is observable. Lock
         // order is always table → cache; the pool side touches the cache
-        // alone, so the nesting cannot deadlock.
-        let cache_ts = trace.now_us();
+        // alone, so the nesting cannot deadlock. The lookup is timed from
+        // inside the lock: a coalesced join is drawn on the computing
+        // job's lane, and only a timestamp taken after that job's own
+        // reservation is guaranteed to lie inside its request root.
         let mut jobs = self.jobs.lock().expect("job table poisoned");
+        let cache_ts = trace.now_us();
         match self.cache.lookup_or_reserve(&key, id) {
             Lookup::Hit(doc) => {
                 // Served entirely from cache: a `done` job exists for

@@ -112,6 +112,12 @@ impl JobTrace {
         self.origin.elapsed().as_micros() as u64
     }
 
+    /// Microseconds from the server origin to `at` — the `ts` of a span
+    /// that started at `at`.
+    pub fn ts_us(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.origin).as_micros() as u64
+    }
+
     /// Records one complete span. `args` may be `Value::Null` for none;
     /// the trace id is injected at render time, so every span of the
     /// document carries it.
@@ -123,14 +129,6 @@ impl JobTrace {
             dur_us,
             args,
         });
-    }
-
-    /// Times `f` as a span named `name`.
-    pub fn time<T>(&self, name: &str, cat: &'static str, args: Value, f: impl FnOnce() -> T) -> T {
-        let ts = self.now_us();
-        let out = f();
-        self.span(name, cat, ts, self.now_us().saturating_sub(ts), args);
-        out
     }
 
     /// Closes the request root span (idempotent — first close wins).
@@ -146,13 +144,17 @@ impl JobTrace {
 
     /// The job's trace events: the `request` root first, then every
     /// recorded span, all on `tid` = `job_id` with the trace id in every
-    /// event's args. An unfinished job renders with the root open-ended
-    /// at "now".
+    /// event's args. The root ends at the job's terminal state — "now"
+    /// for an unfinished job — or at its last span's end, if later.
     pub fn events(&self, job_id: u64, kind: &str) -> Vec<Value> {
         let end = match self.end_us.load(Ordering::Relaxed) {
             0 => self.now_us().max(self.start_us + 1),
             end => end,
         };
+        let spans = self.spans.lock().expect("trace poisoned");
+        // A span may close after the terminal state — a coalesced join
+        // whose submitter was preempted mid-lookup — and still nests.
+        let end = spans.iter().map(|s| s.ts_us + s.dur_us).fold(end, u64::max);
         let mut events = vec![json!({
             "name": "request",
             "cat": "request",
@@ -163,7 +165,7 @@ impl JobTrace {
             "dur": end - self.start_us,
             "args": {"trace_id": self.trace_id.clone(), "job": job_id, "kind": kind},
         })];
-        for span in self.spans.lock().expect("trace poisoned").iter() {
+        for span in spans.iter() {
             let mut args = match &span.args {
                 Value::Object(map) => map.clone(),
                 _ => std::collections::BTreeMap::new(),
@@ -229,10 +231,23 @@ mod tests {
     fn spans_nest_inside_the_request_root() {
         let origin = Instant::now();
         let trace = JobTrace::new("t-1".to_owned(), origin);
-        trace.time("cache_lookup", "cache", json!({"outcome": "miss"}), || {});
-        trace.time("fused_scan", "engine", json!({"k": 4}), || {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        });
+        trace.span(
+            "cache_lookup",
+            "cache",
+            trace.ts_us(Instant::now()),
+            0,
+            json!({"outcome": "miss"}),
+        );
+        let start = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let dur = start.elapsed().as_micros() as u64;
+        trace.span(
+            "fused_scan",
+            "engine",
+            trace.ts_us(start),
+            dur,
+            json!({"k": 4}),
+        );
         trace.finish();
 
         let events = trace.events(7, "verify");

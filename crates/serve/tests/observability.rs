@@ -139,6 +139,16 @@ fn trace_id_flows_from_header_to_status_to_every_span() {
             event["name"]
         );
     }
+    // One measurement feeds both sinks: the status document's phase
+    // totals equal the engine spans' durations.
+    for phase in ["fused_scan", "livelock_dfs"] {
+        let spans: Vec<&Value> = events.iter().filter(|e| e["name"] == phase).collect();
+        assert_eq!(spans.len(), 1, "one {phase} span for one K");
+        assert_eq!(
+            status["phases_us"][phase], spans[0]["dur"],
+            "{phase}: phases_us equals the span's dur"
+        );
+    }
 }
 
 #[test]
@@ -211,7 +221,10 @@ fn concurrent_submits_get_unique_trace_ids_and_nested_spans() {
         for event in events {
             assert_eq!(event["tid"], id);
             let ts = event["ts"].as_u64().unwrap();
-            assert!(ts >= root_ts && ts + event["dur"].as_u64().unwrap() <= root_end);
+            assert!(
+                ts >= root_ts && ts + event["dur"].as_u64().unwrap() <= root_end,
+                "span nests inside the request root: {event} in {root}"
+            );
             // A coalesced_submit span records the *joining* request's
             // id; every other span belongs to this job's request.
             if event["name"] != "coalesced_submit" {

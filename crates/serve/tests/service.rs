@@ -76,7 +76,7 @@ fn await_job(state: &Arc<ServeState>, id: u64) -> String {
 fn cli_document(k: usize) -> String {
     let protocol = parse_protocol_file(AGREEMENT).unwrap();
     let ring = RingInstance::symmetric(&protocol, k).unwrap();
-    let report = ConvergenceReport::check_with(&ring, &EngineConfig::sequential());
+    let report = ConvergenceReport::check(&ring, &EngineConfig::sequential());
     render::check_document(vec![render::convergence_report(&report)])
 }
 
@@ -163,6 +163,31 @@ fn repeated_submit_is_served_from_cache_without_pool_work() {
     let r2 = s.handle(&request("GET", &format!("/v1/jobs/{id2}/result"), ""));
     assert_eq!(r1.body, r2.body);
     assert_eq!(String::from_utf8(r2.body).unwrap(), cli_document(4));
+
+    // Knobs that never change result bytes share one cache entry: each
+    // pair below executes once and answers the second submit from cache.
+    for (kind, first, second) in [
+        (
+            "verify",
+            ", \"k\": 6, \"symmetry\": \"full\"",
+            ", \"k\": 6, \"symmetry\": \"reduced\"",
+        ),
+        ("synthesize", ", \"prune\": false", ", \"prune\": true"),
+    ] {
+        let executed_before = s.executed();
+        let resp = s.handle(&request("POST", "/v1/jobs", &submit_body(kind, first)));
+        assert_eq!(resp.status, 202, "{kind}{first}: a fresh address");
+        let id = body_json(&resp.body)["id"].as_u64().unwrap();
+        assert_eq!(await_job(&s, id), "done");
+        let resp = s.handle(&request("POST", "/v1/jobs", &submit_body(kind, second)));
+        assert_eq!(resp.status, 200, "{kind}{second}: served from cache");
+        let id2 = body_json(&resp.body)["id"].as_u64().unwrap();
+        assert_eq!(s.executed(), executed_before + 1, "{kind}: executed once");
+        let r1 = s.handle(&request("GET", &format!("/v1/jobs/{id}/result"), ""));
+        let r2 = s.handle(&request("GET", &format!("/v1/jobs/{id2}/result"), ""));
+        assert_eq!(r1.status, 200);
+        assert_eq!(r1.body, r2.body, "{kind}: identical bytes");
+    }
 }
 
 #[test]

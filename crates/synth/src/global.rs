@@ -11,7 +11,7 @@
 //! E12) contrast with the `K`-independent local method.
 
 use selfstab_core::rcg::Rcg;
-use selfstab_global::{check::ConvergenceReport, GlobalError, RingInstance};
+use selfstab_global::{check::ConvergenceReport, EngineConfig, GlobalError, RingInstance};
 use selfstab_protocol::{LocalStateId, LocalTransition, Protocol};
 
 use crate::local::{ComboSpace, LocalSynthesizer, SynthesisConfig};
@@ -138,7 +138,7 @@ impl GlobalSynthesizer {
                     Err(_) => continue,
                 };
                 let ring = RingInstance::symmetric(&candidate, self.ring_size)?;
-                let report = ConvergenceReport::check(&ring);
+                let report = ConvergenceReport::check(&ring, &EngineConfig::default());
                 if report.self_stabilizing() {
                     outcome.solutions.push(GlobalSynthesizedProtocol {
                         protocol: candidate,
@@ -169,7 +169,7 @@ pub fn verify_up_to(
         match RingInstance::symmetric(protocol, k) {
             Err(_) => return Err((k, None)),
             Ok(ring) => {
-                let report = ConvergenceReport::check(&ring);
+                let report = ConvergenceReport::check(&ring, &EngineConfig::default());
                 if !report.self_stabilizing() {
                     return Err((k, Some(report)));
                 }

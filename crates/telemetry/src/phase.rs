@@ -100,14 +100,6 @@ impl PhaseTimes {
         self.calls[phase.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Runs `f` as one span of `phase`, timing it.
-    pub fn time<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.add(phase, start.elapsed());
-        out
-    }
-
     /// Accumulated microseconds of one phase.
     pub fn micros(&self, phase: Phase) -> u64 {
         self.micros[phase.index()].load(Ordering::Relaxed)
@@ -137,6 +129,35 @@ impl PhaseTimes {
             calls: Phase::ALL.map(|p| self.calls(p)),
         }
     }
+}
+
+/// Where completed phase spans go. The one seam through which every
+/// instrumented caller (the check builder, the synthesizer, the campaign
+/// runner, the service) reports time: each span is measured once, by
+/// [`span`], and the same `elapsed` reaches every sink an implementor
+/// fans it out to (phase totals, trace lanes).
+pub trait PhaseSink {
+    /// Records one completed span of `phase` that began at `start` and
+    /// ran for `elapsed`.
+    fn record(&self, phase: Phase, start: Instant, elapsed: Duration);
+}
+
+impl PhaseSink for PhaseTimes {
+    fn record(&self, phase: Phase, _start: Instant, elapsed: Duration) {
+        self.add(phase, elapsed);
+    }
+}
+
+/// Runs `f` as one span of `phase`, reporting it to `sink`. With no sink
+/// this is just `f()`: no clock is read.
+pub fn span<S: PhaseSink + ?Sized, T>(sink: Option<&S>, phase: Phase, f: impl FnOnce() -> T) -> T {
+    let Some(sink) = sink else {
+        return f();
+    };
+    let start = Instant::now();
+    let out = f();
+    sink.record(phase, start, start.elapsed());
+    out
 }
 
 /// A plain-data copy of [`PhaseTimes`].
@@ -183,10 +204,12 @@ mod tests {
         let t = PhaseTimes::new();
         t.add_micros(Phase::Parse, 40);
         t.add_micros(Phase::Parse, 2);
-        t.time(Phase::FusedScan, || {});
+        span(Some(&t), Phase::FusedScan, || {});
+        span(None::<&PhaseTimes>, Phase::LivelockDfs, || {});
         assert_eq!(t.micros(Phase::Parse), 42);
         assert_eq!(t.calls(Phase::Parse), 2);
         assert_eq!(t.calls(Phase::FusedScan), 1);
+        assert_eq!(t.calls(Phase::LivelockDfs), 0, "no sink, no span");
         let s = t.snapshot();
         assert_eq!(s.micros[Phase::Parse.index()], 42);
         let text = s.to_json().to_string();

@@ -47,10 +47,10 @@ impl TraceCollector {
         }
     }
 
-    /// Microseconds since the collector was created — the `ts` to pass to
-    /// [`TraceCollector::complete`] for an event starting now.
-    pub fn now_us(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
+    /// Microseconds from the collector's origin to `at` — the `ts` to pass
+    /// to [`TraceCollector::complete`] for an event that started at `at`.
+    pub fn ts_us(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.origin).as_micros() as u64
     }
 
     /// Records a complete event (`ph: "X"`): `name` ran on `tid` from
@@ -87,7 +87,7 @@ impl TraceCollector {
                 name: name.into(),
                 cat,
                 ph: 'i',
-                ts_us: self.now_us(),
+                ts_us: self.ts_us(Instant::now()),
                 dur_us: 0,
                 tid,
                 args,
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn events_render_with_required_fields() {
         let t = TraceCollector::new();
-        let ts = t.now_us();
+        let ts = t.ts_us(Instant::now());
         t.complete(
             "fused_scan",
             "engine",

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example synthesize_sum_not_two`
 
 use selfstab::core::livelock::LivelockAnalysis;
-use selfstab::global::{check, RingInstance};
+use selfstab::global::{check, EngineConfig, RingInstance};
 use selfstab::protocols::sum_not_two;
 use selfstab::synth::{LocalSynthesizer, SynthesisConfig};
 
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Every accepted revision must hold up globally.
         for k in 2..=7 {
             let ring = RingInstance::symmetric(&s.protocol, k)?;
-            let rep = check::ConvergenceReport::check(&ring);
+            let rep = check::ConvergenceReport::check(&ring, &EngineConfig::default());
             assert!(rep.self_stabilizing(), "K={k}: {rep}");
         }
         println!("    globally verified for K = 2..=7\n");

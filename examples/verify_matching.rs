@@ -9,7 +9,7 @@
 use std::fs;
 
 use selfstab::core::{deadlock::DeadlockAnalysis, ltg::Ltg, rcg::Rcg};
-use selfstab::global::{check, RingInstance};
+use selfstab::global::{check, EngineConfig, RingInstance};
 use selfstab::protocols::matching;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper model-checked K = 5..8; so do we.
     for k in 5..=8 {
         let ring = RingInstance::symmetric(&good, k)?;
-        let report = check::ConvergenceReport::check(&ring);
+        let report = check::ConvergenceReport::check(&ring, &EngineConfig::default());
         println!(
             "  model check K={k}: deadlocks={} livelock={} closure_ok={}",
             report.illegitimate_deadlocks.len(),

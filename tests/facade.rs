@@ -3,7 +3,7 @@
 //! cross-checking and simulation — spanning every workspace crate.
 
 use selfstab::core::{ltg::Ltg, rcg::Rcg, StabilizationReport};
-use selfstab::global::{check, RingInstance, Simulator};
+use selfstab::global::{check, EngineConfig, RingInstance, Simulator};
 use selfstab::protocol::{Domain, Locality, Protocol};
 use selfstab::protocols::{agreement, coloring, matching, sum_not_two};
 use selfstab::synth::{LocalSynthesizer, SynthesisConfig};
@@ -26,7 +26,9 @@ fn full_pipeline_on_a_fresh_protocol() {
     // Global cross-check + simulation.
     for k in 2..=6 {
         let ring = RingInstance::symmetric(&p, k).unwrap();
-        assert!(check::ConvergenceReport::check(&ring).self_stabilizing());
+        assert!(
+            check::ConvergenceReport::check(&ring, &EngineConfig::default()).self_stabilizing()
+        );
     }
     let ring = RingInstance::symmetric(&p, 8).unwrap();
     let mut sim = Simulator::new(&ring, 1);

@@ -23,48 +23,100 @@
 //!
 //! The plan is surfaced two ways: the hidden `selfstab sweep --chaos
 //! <seed>` flag (builds [`ChaosPlan::from_seed`]) and this test API.
+//! Its budgeted core, [`FaultBudgets`], and the retry schedule,
+//! [`retry_backoff`], are shared with the service's fault plan.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use selfstab_core::hash::{fnv64, fnv64_words};
 
-/// Mutable injection budgets, shared by every worker's view of the plan.
-#[derive(Debug, Default)]
-struct ChaosState {
-    panics_left: AtomicU64,
-    cancels_left: AtomicU64,
+/// Hash tags (ASCII `panic`, `cancel`) of decisions and budget draws.
+const PANIC: u64 = 0x0070_616e_6963;
+const CANCEL: u64 = 0x6361_6e63_656c;
+
+/// Longest exponent of the retry backoff: `base · 2^min(attempt, CAP)`.
+/// Caps the deterministic schedule so a large retry budget cannot
+/// multiply the base into an overflow or an hours-long sleep.
+const BACKOFF_EXPONENT_CAP: u32 = 6;
+
+/// The delay before retry `attempt + 1` of a panicked job: a pure
+/// function of the attempt index — no jitter, no clock in any recorded
+/// artifact. The campaign runner and the service share it.
+pub fn retry_backoff(base: Duration, attempt: u32) -> Duration {
+    base * (1u32 << attempt.min(BACKOFF_EXPONENT_CAP))
+}
+
+/// The budgeted core of a seeded fault plan, shared by [`ChaosPlan`] and
+/// the service's plan: a seed and two fault budgets that every clone
+/// draws from (as the workers of one run do).
+#[derive(Clone, Debug)]
+pub struct FaultBudgets {
+    seed: u64,
+    left: Arc<[AtomicU64; 2]>,
+}
+
+impl FaultBudgets {
+    /// Budgets drawn from `seed`: fault class `i` with draw `(tag, max)`
+    /// gets `fnv64_words([seed, tag]) % (max + 1)` injections.
+    pub fn from_seed(seed: u64, draws: [(u64, u64); 2]) -> Self {
+        FaultBudgets::new(
+            seed,
+            draws.map(|(tag, max)| fnv64_words(&[seed, tag]) % (max + 1)),
+        )
+    }
+
+    /// Explicit budgets per fault class.
+    pub fn new(seed: u64, budgets: [u64; 2]) -> Self {
+        FaultBudgets {
+            seed,
+            left: Arc::new(budgets.map(AtomicU64::new)),
+        }
+    }
+
+    /// Does fault `class` fire at the point named by `words`? Fires when
+    /// the FNV-1a hash of `[seed, words…]` is a multiple of `one_in` and
+    /// the class has budget left, which it then consumes.
+    pub fn fire(&self, class: usize, one_in: u64, words: &[u64]) -> bool {
+        let h = fnv64(
+            std::iter::once(&self.seed)
+                .chain(words)
+                .flat_map(|w| w.to_le_bytes()),
+        );
+        h.is_multiple_of(one_in)
+            && self.left[class]
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                .is_ok()
+    }
 }
 
 /// A seeded, budgeted fault-injection plan (see the module docs).
 #[derive(Clone, Debug)]
 pub struct ChaosPlan {
-    seed: u64,
     /// Fire on every attempt of every job, ignoring hash and budget —
     /// the "always-panicking job" mode of the acceptance tests.
     always_panic: bool,
-    state: Arc<ChaosState>,
+    /// Budget 0: injected panics; budget 1: forced cancellations.
+    faults: FaultBudgets,
 }
 
 impl ChaosPlan {
     /// A plan whose budgets are derived from `seed`: up to 4 injected
     /// panics and up to 1 forced cancellation per run.
     pub fn from_seed(seed: u64) -> Self {
-        let panics = fnv64_words(&[seed, 0x70616e6963]) % 5; // 0..=4
-        let cancels = fnv64_words(&[seed, 0x63616e63656c]) % 2; // 0..=1
-        ChaosPlan::with_budgets(seed, panics, cancels)
+        ChaosPlan {
+            always_panic: false,
+            faults: FaultBudgets::from_seed(seed, [(PANIC, 4), (CANCEL, 1)]),
+        }
     }
 
     /// A plan with explicit budgets (test API).
     pub fn with_budgets(seed: u64, panics: u64, cancels: u64) -> Self {
         ChaosPlan {
-            seed,
             always_panic: false,
-            state: Arc::new(ChaosState {
-                panics_left: AtomicU64::new(panics),
-                cancels_left: AtomicU64::new(cancels),
-            }),
+            faults: FaultBudgets::new(seed, [panics, cancels]),
         }
     }
 
@@ -73,9 +125,8 @@ impl ChaosPlan {
     /// outcome instead of a pool abort".
     pub fn always_panic() -> Self {
         ChaosPlan {
-            seed: 0,
             always_panic: true,
-            state: Arc::new(ChaosState::default()),
+            faults: FaultBudgets::new(0, [0, 0]),
         }
     }
 
@@ -83,25 +134,16 @@ impl ChaosPlan {
     /// Decided by seed hash (roughly one attempt in three), gated by the
     /// plan's remaining panic budget.
     pub fn should_panic(&self, spec: &str, k: usize, attempt: u32) -> bool {
-        if self.always_panic {
-            return true;
-        }
-        let h = fnv64_words(&[
-            self.seed,
-            0x0070_616e_6963,
-            fnv64(spec.bytes()),
-            k as u64,
-            attempt as u64,
-        ]);
-        h.is_multiple_of(3) && take(&self.state.panics_left)
+        let point = [PANIC, fnv64(spec.bytes()), k as u64, attempt as u64];
+        self.always_panic || self.faults.fire(0, 3, &point)
     }
 
     /// Should reaching `(spec, k)` force-cancel the whole sweep (the chaos
     /// analogue of a SIGINT landing mid-run)? Decided by seed hash
     /// (roughly one job in four), gated by the cancel budget.
     pub fn should_cancel(&self, spec: &str, k: usize) -> bool {
-        let h = fnv64_words(&[self.seed, 0x6361_6e63_656c, fnv64(spec.bytes()), k as u64]);
-        h.is_multiple_of(4) && take(&self.state.cancels_left)
+        let point = [CANCEL, fnv64(spec.bytes()), k as u64];
+        self.faults.fire(1, 4, &point)
     }
 
     /// Torn-write injection: truncates the file at a seeded byte offset
@@ -121,14 +163,6 @@ impl ChaosPlan {
         file.set_len(new_len)?;
         Ok(new_len)
     }
-}
-
-/// Consumes one unit of `budget` if any remains (shared with the
-/// service's chaos plan).
-pub fn take(budget: &AtomicU64) -> bool {
-    budget
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-        .is_ok()
 }
 
 #[cfg(test)]
@@ -155,6 +189,51 @@ mod tests {
         assert!(fired_a.iter().filter(|&&f| f).count() <= 4);
         let cancels = jobs.iter().filter(|(s, k)| a.should_cancel(s, *k)).count();
         assert!(cancels <= 1);
+
+        // Recorded from the build before the shared fault core: a plan's
+        // faults and retry delays are a fixed function of its seed.
+        let plan = ChaosPlan::from_seed(42);
+        assert_eq!(
+            decisions(&plan, false),
+            "0010100000101000000000000000000000000000"
+        );
+        assert_eq!(
+            decisions(&plan, true),
+            "0100000000000000000000000000000000000000"
+        );
+        let unbudgeted = ChaosPlan::with_budgets(42, 40, 40);
+        assert_eq!(
+            decisions(&unbudgeted, false),
+            "0010100000101011100001010100110101100010"
+        );
+        assert_eq!(
+            decisions(&unbudgeted, true),
+            "0100001000011000010001010000010000100001"
+        );
+        let delays: Vec<u64> = (0..=8)
+            .map(|a| retry_backoff(Duration::from_millis(100), a).as_millis() as u64)
+            .collect();
+        assert_eq!(delays, [100, 200, 400, 800, 1600, 3200, 6400, 6400, 6400]);
+    }
+
+    /// `'1'` per fired decision, over the first 40 points of a fixed
+    /// walk through `(spec, k, attempt)`.
+    fn decisions(plan: &ChaosPlan, cancel: bool) -> String {
+        (0..40usize)
+            .map(|i| {
+                let spec = format!("s{}.stab", i % 7);
+                let fired = if cancel {
+                    plan.should_cancel(&spec, i)
+                } else {
+                    plan.should_panic(&spec, i, (i % 3) as u32)
+                };
+                if fired {
+                    '1'
+                } else {
+                    '0'
+                }
+            })
+            .collect()
     }
 
     #[test]

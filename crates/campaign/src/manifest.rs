@@ -28,10 +28,8 @@
 //!   job: `"auto"` (default), `"full"`, or `"reduced"`. Like thread
 //!   counts, the mode never changes any verdict and is therefore excluded
 //!   from the fingerprint.
-//! * `prune` — optional monotone lattice pruning toggle (default `true`)
-//!   handed to any synthesis runs launched from this campaign. Pruning is
-//!   outcome-invariant (the engine's result is byte-identical either
-//!   way), so — like `symmetry` — it is excluded from the fingerprint.
+//!
+//! Any other key is ignored.
 
 use std::path::{Path, PathBuf};
 
@@ -58,8 +56,6 @@ pub struct Manifest {
     pub engine_threads: usize,
     /// Rotation-symmetry reduction policy for every job's engine.
     pub symmetry: selfstab_global::SymmetryMode,
-    /// Monotone lattice pruning for synthesis runs (outcome-invariant).
-    pub prune: bool,
 }
 
 impl Manifest {
@@ -131,15 +127,6 @@ impl Manifest {
                 CampaignError::Manifest(format!("manifest `symmetry`: {e}"))
             })?,
         };
-        let prune = match &v["prune"] {
-            serde_json::Value::Null => true,
-            serde_json::Value::Bool(b) => *b,
-            _ => {
-                return Err(CampaignError::Manifest(
-                    "manifest `prune` must be a boolean".into(),
-                ))
-            }
-        };
         Ok(Manifest {
             base_dir: base_dir.to_path_buf(),
             specs,
@@ -149,7 +136,6 @@ impl Manifest {
             timeout_ms,
             engine_threads,
             symmetry,
-            prune,
         })
     }
 
@@ -176,9 +162,8 @@ impl Manifest {
 
     /// A stable fingerprint of the semantic manifest fields (specs, K
     /// range, budgets), used to refuse resuming a journal written by a
-    /// different campaign. Worker counts, engine threads, the symmetry
-    /// mode and the prune toggle are excluded: they never change any
-    /// verdict.
+    /// different campaign. Worker counts, engine threads and the symmetry
+    /// mode are excluded: they never change any verdict.
     pub fn fingerprint(&self) -> String {
         // FNV-1a over a canonical rendering.
         let mut canon = String::new();
@@ -340,22 +325,19 @@ mod tests {
 
     #[test]
     fn manifest_prune_parses_and_never_perturbs_the_fingerprint() {
+        // `prune` is no longer a manifest field: old manifests that carry
+        // it still parse, it is ignored like any unknown key, and journals
+        // stay resumable across it.
         let dir = specs_dir();
         let plain = r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4}"#;
-        let full = r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4, "prune": false}"#;
         let a = Manifest::from_json_text(plain, &dir).unwrap();
-        let b = Manifest::from_json_text(full, &dir).unwrap();
-        assert!(a.prune, "pruning defaults on");
-        assert!(!b.prune);
-        // Pruning is outcome-invariant, so journals must stay resumable
-        // across it — exactly like symmetry and engine_threads.
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let bad = Manifest::from_json_text(
-            r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4, "prune": "on"}"#,
-            &dir,
-        )
-        .expect_err("non-boolean prune is an error");
-        assert!(bad.to_string().contains("prune"), "{bad}");
+        for prune in ["false", "true", "\"on\""] {
+            let text = format!(
+                "{{\"specs\": [\"specs/*.stab\"], \"k_from\": 2, \"k_to\": 4, \"prune\": {prune}}}"
+            );
+            let b = Manifest::from_json_text(&text, &dir).unwrap();
+            assert_eq!(a.fingerprint(), b.fingerprint(), "prune: {prune}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use selfstab_protocol::Protocol;
 use selfstab_telemetry::{span, EngineCounters, Phase, PhaseSink, Progress, TraceCollector};
 use serde_json::Value;
 
-use crate::chaos::ChaosPlan;
+use crate::chaos::{retry_backoff, ChaosPlan};
 use crate::job::{JobResult, JobSpec, LocalVerdict, Outcome};
 use crate::journal::{self, FsyncPolicy, Journal};
 use crate::manifest::Manifest;
@@ -45,11 +45,6 @@ impl fmt::Display for CampaignError {
 }
 
 impl std::error::Error for CampaignError {}
-
-/// Longest exponent of the retry backoff: `backoff * 2^min(attempt, CAP)`.
-/// Caps the deterministic schedule so a large `--retries` cannot multiply
-/// the base into an overflow or an hours-long sleep.
-const BACKOFF_EXPONENT_CAP: u32 = 6;
 
 /// Knobs of one campaign invocation (the manifest holds the semantics;
 /// this holds the mechanics, none of which can change a verdict).
@@ -375,11 +370,7 @@ pub fn run_campaign(
                                     .counter("campaign/retries")
                                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             }
-                            // Deterministic exponential backoff: a pure
-                            // function of the attempt index, no jitter, no
-                            // clock in any recorded artifact.
-                            let delay =
-                                config.backoff * (1u32 << attempt.min(BACKOFF_EXPONENT_CAP));
+                            let delay = retry_backoff(config.backoff, attempt);
                             if !delay.is_zero() {
                                 span(scope, Phase::RetryBackoff, || std::thread::sleep(delay));
                             }

@@ -197,6 +197,7 @@ fn trace_export_is_a_loadable_chrome_trace() {
             "i" => assert_eq!(e["s"], "t"),
             ph => panic!("unexpected phase type {ph}"),
         }
+        assert_eq!(keys(e), SPAN_KEYS, "{e}");
         if e["name"] == "fused_scan" {
             fused += 1;
             assert!(e["args"]["spec"].as_str().is_some());
@@ -230,6 +231,46 @@ fn trace_export_is_a_loadable_chrome_trace() {
                 row["k"]
             );
         }
+    }
+
+    // Panicked attempts add thread-scoped instants (`s` instead of
+    // `dur`) beside the retry-backoff spans.
+    let outcome = run_campaign(
+        &manifest(r#"{"specs": ["specs/agreement.stab"], "k_from": 2, "k_to": 2}"#),
+        &CampaignConfig {
+            retries: 1,
+            backoff: Duration::from_millis(1),
+            chaos: Some(ChaosPlan::always_panic()),
+            trace: true,
+            ..CampaignConfig::default()
+        },
+    )
+    .unwrap();
+    let trace = outcome.trace.expect("trace requested");
+    assert_eq!(keys(&trace), ["displayTimeUnit", "traceEvents"]);
+    let mut phases = Vec::new();
+    for e in trace["traceEvents"].as_array().unwrap() {
+        let ph = e["ph"].as_str().unwrap();
+        let want: &[&str] = if ph == "i" {
+            &["args", "cat", "name", "ph", "pid", "s", "tid", "ts"]
+        } else {
+            SPAN_KEYS
+        };
+        assert_eq!(keys(e), want, "{e}");
+        phases.push(ph.to_owned());
+    }
+    assert!(phases.iter().any(|p| p == "i"), "an instant was traced");
+    assert!(phases.iter().any(|p| p == "X"), "a span was traced");
+}
+
+/// The key set of every traced span (recorded before the trace writers
+/// were merged).
+const SPAN_KEYS: &[&str] = &["args", "cat", "dur", "name", "ph", "pid", "tid", "ts"];
+
+fn keys(v: &Value) -> Vec<&str> {
+    match v {
+        Value::Object(map) => map.keys().map(String::as_str).collect(),
+        _ => panic!("not an object: {v}"),
     }
 }
 

@@ -9,35 +9,38 @@ pub struct Args {
     options: BTreeMap<String, Option<String>>,
 }
 
-/// Flags that take no value, per subcommand vocabulary.
-const BOOLEAN_FLAGS: &[&str] = &["ltg", "first", "all", "quiet", "verbose", "json", "resume"];
-
 impl Args {
-    /// Parses raw arguments. Options may be `--name value` or `--name`;
-    /// `-o` is accepted as an alias for `--out`.
-    pub fn parse(raw: &[String]) -> Result<Self, String> {
+    /// Parses raw arguments against one subcommand's vocabulary, given as
+    /// space-separated names: `flags` take no value, `options` take one
+    /// (`--name value`), and `-o` is an alias for `--out`. Any other option
+    /// is an error naming it, so a misspelt option never runs silently
+    /// with its default.
+    pub fn parse(raw: &[String], flags: &str, options: &str) -> Result<Self, String> {
+        let known = |names: &str, name: &str| names.split_whitespace().any(|n| n == name);
         let mut out = Args::default();
         let mut i = 0;
         while i < raw.len() {
             let a = &raw[i];
-            if let Some(name) = a.strip_prefix("--") {
-                if BOOLEAN_FLAGS.contains(&name) {
-                    out.options.insert(name.to_owned(), None);
+            let name = match a.strip_prefix("--") {
+                Some(name) => name,
+                None if a == "-o" => "out",
+                None => {
+                    out.positional.push(a.clone());
                     i += 1;
-                } else {
-                    let value = raw
-                        .get(i + 1)
-                        .ok_or_else(|| format!("option --{name} needs a value"))?;
-                    out.options.insert(name.to_owned(), Some(value.clone()));
-                    i += 2;
+                    continue;
                 }
-            } else if a == "-o" {
-                let value = raw.get(i + 1).ok_or("option -o needs a value")?;
-                out.options.insert("out".to_owned(), Some(value.clone()));
+            };
+            if known(flags, name) {
+                out.options.insert(name.to_owned(), None);
+                i += 1;
+            } else if known(options, name) {
+                let value = raw
+                    .get(i + 1)
+                    .ok_or_else(|| format!("option {a} needs a value"))?;
+                out.options.insert(name.to_owned(), Some(value.clone()));
                 i += 2;
             } else {
-                out.positional.push(a.clone());
-                i += 1;
+                return Err(format!("unknown option {a}"));
             }
         }
         Ok(out)
@@ -113,13 +116,20 @@ pub fn load_protocol(
 mod tests {
     use super::*;
 
+    const FLAGS: &str = "ltg json";
+    const OPTIONS: &str = "k max seed out";
+
     fn argv(items: &[&str]) -> Vec<String> {
         items.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(items: &[&str]) -> Result<Args, String> {
+        Args::parse(&argv(items), FLAGS, OPTIONS)
+    }
+
     #[test]
     fn positional_and_options() {
-        let a = Args::parse(&argv(&["f.stab", "--k", "5", "--ltg", "-o", "out.dot"])).unwrap();
+        let a = parse(&["f.stab", "--k", "5", "--ltg", "-o", "out.dot"]).unwrap();
         assert_eq!(a.file().unwrap(), "f.stab");
         assert_eq!(a.get_usize("k", 0).unwrap(), 5);
         assert!(a.flag("ltg"));
@@ -128,19 +138,30 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(&argv(&["f", "--k"])).is_err());
+        assert!(parse(&["f", "--k"]).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_errors_that_name_the_option() {
+        let err = parse(&["f", "--k", "3", "--thraeds", "4"]).unwrap_err();
+        assert!(err.contains("--thraeds"), "{err}");
+        // A flag of another subcommand is unknown here too.
+        assert!(parse(&["f", "--first"]).unwrap_err().contains("--first"));
+        // `-o` is an alias only where `out` is accepted.
+        let err = Args::parse(&argv(&["f", "-o", "x"]), FLAGS, "k").unwrap_err();
+        assert!(err.contains("-o"), "{err}");
     }
 
     #[test]
     fn bad_number_is_an_error() {
-        let a = Args::parse(&argv(&["f", "--k", "five"])).unwrap();
+        let a = parse(&["f", "--k", "five"]).unwrap();
         assert!(a.get_usize("k", 0).is_err());
         assert!(a.require_usize("k").is_err());
     }
 
     #[test]
     fn defaults_apply() {
-        let a = Args::parse(&argv(&["f"])).unwrap();
+        let a = parse(&["f"]).unwrap();
         assert_eq!(a.get_usize("max", 20).unwrap(), 20);
         assert_eq!(a.get_u64("seed", 42).unwrap(), 42);
         assert!(!a.flag("ltg"));
@@ -148,7 +169,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_reported() {
-        let a = Args::parse(&argv(&["--k", "3"])).unwrap();
+        let a = parse(&["--k", "3"]).unwrap();
         assert!(a.file().is_err());
     }
 }

@@ -5,7 +5,7 @@ use selfstab_core::report::StabilizationReport;
 use crate::args::{load_protocol, Args};
 
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, "json", "")?;
     let protocol = load_protocol(&args)?;
     let report = StabilizationReport::analyze(&protocol);
     if args.flag("json") {

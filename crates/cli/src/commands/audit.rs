@@ -17,7 +17,7 @@ use serde_json::json;
 use crate::args::{load_protocol, Args};
 
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, "json", "to symmetry threads")?;
     let protocol = load_protocol(&args)?;
     let to = args.get_usize("to", 6)?;
     let symmetry: SymmetryMode = args.get("symmetry").unwrap_or("auto").parse()?;

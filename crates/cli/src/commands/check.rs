@@ -15,7 +15,7 @@ use selfstab_global::{check::ConvergenceReport, EngineConfig, RingInstance, Symm
 use crate::args::{load_protocol, Args};
 
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, "json", "k to symmetry threads")?;
     let protocol = load_protocol(&args)?;
     let from = args.require_usize("k")?;
     let to = args.get_usize("to", from)?;

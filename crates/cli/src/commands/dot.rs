@@ -7,7 +7,7 @@ use selfstab_telemetry::logger;
 use crate::args::{load_protocol, Args};
 
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, "ltg", "restrict out")?;
     let protocol = load_protocol(&args)?;
 
     let dot = if args.flag("ltg") {

@@ -40,8 +40,11 @@ const USAGE: &str = "usage: selfstab registry <show|tab|diff> <registry.jsonl> [
 /// Default regression tolerance for `diff`, percent.
 const DEFAULT_TOLERANCE_PCT: f64 = 10.0;
 
+/// `registry` options that take a value.
+const OPTIONS: &str = "source kind spec limit kpi by baseline tolerance-pct higher-is-better";
+
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, "json", OPTIONS)?;
     let action = args.positional(0).ok_or(USAGE)?;
     let path: &Path = args.positional(1).ok_or(USAGE)?.as_ref();
     let rows = read_rows(path).map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
@@ -223,6 +226,18 @@ fn diff(args: &Args, rows: &[RegistryRow]) -> Result<bool, Box<dyn std::error::E
                 "regressed": regressed,
             }));
         }
+    }
+
+    // A gate that matched nothing compared nothing: passing it would hide
+    // any regression behind an identity change (a renamed knob, a new
+    // source), so it is a usage error, not a success.
+    if missing > 0 && missing == base_by_id.len() {
+        return Err(format!(
+            "no baseline identity matches a current row ({missing} baseline \
+             identit(ies) unmatched, e.g. `{}`): nothing was compared",
+            base_by_id.keys().next().map_or("", String::as_str)
+        )
+        .into());
     }
 
     if args.flag("json") {
@@ -453,6 +468,30 @@ mod tests {
         // Within tolerance: quiet in both directions.
         assert!(!is_regression(5.0, 10.0, Direction::LowerIsBetter));
         assert!(!is_regression(-5.0, 10.0, Direction::HigherIsBetter));
+    }
+
+    #[test]
+    fn diff_that_matches_no_baseline_identity_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("selfstab-registry-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let baseline = dir.join("baseline.jsonl");
+        std::fs::remove_file(&baseline).ok();
+        selfstab_core::registry_row::append_row(&baseline, &row(1)).unwrap();
+        let argv: Vec<String> = ["diff", "current.jsonl", "--baseline"]
+            .iter()
+            .map(|s| s.to_string())
+            .chain([baseline.display().to_string()])
+            .collect();
+        let args = Args::parse(&argv, "json", OPTIONS).unwrap();
+        // Same identity: compared, and a 100x rise regresses.
+        assert!(!diff(&args, &[row(100)]).unwrap());
+        // A changed knob: every baseline identity is unmatched, so the
+        // 100x rise was never compared — that must not pass.
+        let mut renamed = row(100);
+        renamed.knobs = json!({"max_states": 200});
+        let err = diff(&args, &[renamed]).unwrap_err().to_string();
+        assert!(err.contains("nothing was compared"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -42,8 +42,12 @@ use selfstab_telemetry::logger;
 use crate::args::Args;
 use crate::signal;
 
+/// `serve` options that take a value (`--chaos` is hidden: drills and tests only).
+const OPTIONS: &str = "port host threads cache-mb journal cache-snapshot fsync retries \
+    backoff-ms max-pending max-connections max-rss-mb chaos trace registry";
+
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, "verbose quiet", OPTIONS)?;
     logger::set_level_from_flags(args.flag("verbose"), args.flag("quiet"), false);
     let port_raw = args.get_usize("port", 7878)?;
     let port = u16::try_from(port_raw)

@@ -7,7 +7,7 @@ use serde_json::json;
 use crate::args::{load_protocol, Args};
 
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, "json", "k trials steps seed scheduler")?;
     let protocol = load_protocol(&args)?;
     let k = args.require_usize("k")?;
     let trials = args.get_usize("trials", 1000)?;

@@ -7,7 +7,7 @@ use serde_json::json;
 use crate::args::{load_protocol, Args};
 
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, "json", "max")?;
     let protocol = load_protocol(&args)?;
     let max = args.get_usize("max", 20)?;
 

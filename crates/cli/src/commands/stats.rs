@@ -34,7 +34,7 @@ const PHASES: [(&str, &str); 7] = [
 ];
 
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, "json", "")?;
     let path = args.file().map_err(|_| "missing <metrics.json> argument")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     // Auto-detect the input: a sweep --metrics file is one JSON document;

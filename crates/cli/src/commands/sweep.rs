@@ -57,8 +57,12 @@ use crate::signal;
 /// enough that the ETA feels alive.
 const METER_PERIOD: Duration = Duration::from_millis(200);
 
+/// `sweep` options that take a value (`--chaos` is hidden: drills and tests only).
+const OPTIONS: &str = "threads symmetry journal fsync chaos metrics trace jobs retries \
+    backoff-ms registry out";
+
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, "json resume verbose quiet", OPTIONS)?;
     logger::set_level_from_flags(args.flag("verbose"), args.flag("quiet"), args.flag("json"));
     let manifest_path: &Path = args
         .file()

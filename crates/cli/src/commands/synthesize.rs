@@ -1,6 +1,6 @@
 //! `selfstab synthesize <file.stab> [--first] [--threads N] [--json]
-//! [--prune on|off] [--metrics FILE]` — the Section 6 local synthesis
-//! methodology on the streaming parallel engine.
+//! [--metrics FILE]` — the Section 6 local synthesis methodology on the
+//! streaming parallel engine (monotone lattice pruning always on).
 //!
 //! Exit codes follow the verification convention: 0 when synthesis
 //! succeeds, 1 on usage/IO errors, 2 when the methodology ran and declared
@@ -15,24 +15,16 @@ use crate::args::{load_protocol, Args};
 use crate::json;
 
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, "first json verbose quiet", "threads metrics")?;
     logger::set_level_from_flags(args.flag("verbose"), args.flag("quiet"), false);
     let protocol = load_protocol(&args)?;
     let threads = args.get_usize("threads", 1)?;
     if threads == 0 {
         return Err("option --threads expects a positive number".into());
     }
-    let prune = match args.get("prune").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(format!("option --prune expects `on` or `off`, got `{other}`").into());
-        }
-    };
     let config = SynthesisConfig {
         max_solutions: if args.flag("first") { 1 } else { 64 },
         threads,
-        prune,
         ..SynthesisConfig::default()
     };
 
@@ -55,13 +47,12 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     if let Some(path) = args.get("metrics") {
         // The metrics sidecar is the one place the scheduling-dependent
         // counters (cancel_polls and the pruning tallies) are written out;
-        // `--json` stays byte-identical across thread counts and prune
-        // modes, so it cannot carry them.
+        // `--json` stays byte-identical across thread counts, so it
+        // cannot carry them.
         let snap = counters.snapshot();
         let doc = serde_json::json!({
             "protocol": protocol.name(),
             "threads": threads,
-            "prune": prune,
             "counters": {
                 "resolve_sets_examined": snap.resolve_sets_examined,
                 "combinations_tried": snap.combinations_tried,

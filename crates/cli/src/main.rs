@@ -7,7 +7,7 @@
 //! selfstab sweep      <manifest.json> [--jobs J] [--threads T] [--symmetry M]  batch campaign over a spec corpus
 //! selfstab stats      <metrics.json|journal>         phase-time cross-tab of a sweep --metrics file or serve journal
 //! selfstab registry   <show|tab|diff> <registry.jsonl> [...]  query the persistent results registry
-//! selfstab synthesize <file.stab> [--first] [--threads T] [--prune on|off] [--metrics FILE] [--json]  Section 6 synthesis methodology
+//! selfstab synthesize <file.stab> [--first] [--threads T] [--metrics FILE] [--json]  Section 6 synthesis methodology
 //! selfstab serve      [--port P] [--threads T] [--cache-mb M] [--journal F] [--cache-snapshot F]  HTTP verification service with result caching and crash durability
 //! selfstab sizes      <file.stab> [--max 20]       exact deadlocked ring sizes
 //! selfstab simulate   <file.stab> --k 10 [...]     random-daemon convergence runs
@@ -127,8 +127,6 @@ SUBCOMMANDS:
     synthesize  add convergence via the Section 6 methodology
                 ([--first] stop at one solution, [--threads T] parallel
                  candidate verification — same output for every T,
-                 [--prune on|off] monotone lattice pruning, default on —
-                 identical outcome either way, fewer candidates verified,
                  [--metrics FILE] full counter snapshot sidecar including
                  the scheduling-dependent pruning tallies,
                  [--json] machine-readable outcome; exit 2 when the

@@ -324,6 +324,20 @@ fn helpful_errors() {
 }
 
 #[test]
+fn unknown_options_exit_1_and_name_the_option() {
+    // A misspelt option must not run silently on its default (here, one
+    // thread), and the removed `--prune` is no exception.
+    let agreement = spec("agreement.stab");
+    let agreement = agreement.to_str().unwrap();
+    let out = selfstab(&["check", agreement, "--k", "3", "--thraeds", "4", "--json"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(stderr(&out).contains("--thraeds"), "{}", stderr(&out));
+    let out = selfstab(&["synthesize", agreement, "--prune", "off"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(stderr(&out).contains("--prune"), "{}", stderr(&out));
+}
+
+#[test]
 fn audit_sizes_simulate_emit_json() {
     let out = selfstab(&[
         "audit",

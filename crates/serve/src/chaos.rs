@@ -16,53 +16,43 @@
 //!   resolvable by id).
 //!
 //! Decisions are pure functions of `(seed, key, attempt)` under FNV-1a
-//! with budgets derived from the seed, so a chaos run is replayable from
-//! its seed alone. Kill-mid-job — the third fault class — cannot be
-//! injected from inside the process; the CI crash drill provides it with
-//! a literal `SIGKILL` and byte-diffs the replayed results against a
-//! fault-free run.
+//! with budgets derived from the seed — the campaign's budgeted core,
+//! [`FaultBudgets`] — so a chaos run is replayable from its seed alone.
+//! Kill-mid-job — the third fault class — cannot be injected from inside
+//! the process; the CI crash drill provides it with a literal `SIGKILL`
+//! and byte-diffs the replayed results against a fault-free run.
 //!
 //! Surfaced by the hidden `selfstab serve --chaos SEED` flag.
 //!
 //! [`ChaosPlan`]: selfstab_campaign::ChaosPlan
 
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use selfstab_campaign::chaos::FaultBudgets;
+use selfstab_core::hash::fnv64;
 
-use selfstab_campaign::chaos::take;
-use selfstab_core::hash::{fnv64, fnv64_words};
+/// Hash tag of panic decisions and of the panic budget draw.
+const PANIC: u64 = 0x0070_616e_6963;
 
-/// Shared mutable budgets (one set per server, shared by all handlers).
-#[derive(Debug, Default)]
-struct ChaosState {
-    panics_left: AtomicU64,
-    tears_left: AtomicU64,
-}
-
-/// A seeded, budgeted service-fault plan (see the module docs).
+/// A seeded, budgeted service-fault plan (see the module docs). Clones
+/// share one set of budgets, as every handler of one server does.
 #[derive(Clone, Debug)]
 pub struct ServeChaos {
-    seed: u64,
-    state: Arc<ChaosState>,
+    /// Budget 0: injected job panics; budget 1: torn responses.
+    faults: FaultBudgets,
 }
 
 impl ServeChaos {
     /// A plan whose budgets derive from `seed`: up to 4 injected job
     /// panics and up to 3 torn responses per server lifetime.
     pub fn from_seed(seed: u64) -> Self {
-        let panics = fnv64_words(&[seed, 0x0070_616e_6963]) % 5; // 0..=4
-        let tears = fnv64_words(&[seed, 0x7465_6172]) % 4; // 0..=3
-        ServeChaos::with_budgets(seed, panics, tears)
+        ServeChaos {
+            faults: FaultBudgets::from_seed(seed, [(PANIC, 4), (0x7465_6172, 3)]),
+        }
     }
 
     /// A plan with explicit budgets (test API).
     pub fn with_budgets(seed: u64, panics: u64, tears: u64) -> Self {
         ServeChaos {
-            seed,
-            state: Arc::new(ChaosState {
-                panics_left: AtomicU64::new(panics),
-                tears_left: AtomicU64::new(tears),
-            }),
+            faults: FaultBudgets::new(seed, [panics, tears]),
         }
     }
 
@@ -70,20 +60,14 @@ impl ServeChaos {
     /// an injected panic? Roughly one attempt in two by seed hash, gated
     /// by the remaining panic budget — so retries eventually get through.
     pub fn should_panic(&self, key: &str, attempt: u32) -> bool {
-        let h = fnv64_words(&[
-            self.seed,
-            0x0070_616e_6963,
-            fnv64(key.bytes()),
-            attempt as u64,
-        ]);
-        h.is_multiple_of(2) && take(&self.state.panics_left)
+        let point = [PANIC, fnv64(key.bytes()), attempt as u64];
+        self.faults.fire(0, 2, &point)
     }
 
     /// Should this response be torn mid-write? Decided per response by a
     /// seeded connection counter, gated by the tear budget.
     pub fn should_tear_response(&self, response_index: u64) -> bool {
-        let h = fnv64_words(&[self.seed, 0x746f_726e, response_index]);
-        h.is_multiple_of(3) && take(&self.state.tears_left)
+        self.faults.fire(1, 3, &[0x746f_726e, response_index])
     }
 }
 
@@ -102,6 +86,54 @@ mod tests {
         assert!(fired_a.iter().filter(|&&f| f).count() <= 4);
         let tears = (0..100).filter(|&i| a.should_tear_response(i)).count();
         assert!(tears <= 3);
+
+        // Recorded from the build before the shared fault core: a plan's
+        // faults and retry delays are a fixed function of its seed.
+        let plan = ServeChaos::from_seed(42);
+        assert_eq!(
+            decisions(&plan, false),
+            "0101011000000000000000000000000000000000"
+        );
+        assert_eq!(
+            decisions(&plan, true),
+            "0100100010000000000000000000000000000000"
+        );
+        let unbudgeted = ServeChaos::with_budgets(42, 40, 40);
+        assert_eq!(
+            decisions(&unbudgeted, false),
+            "0101011110010110011011001010001000111000"
+        );
+        assert_eq!(
+            decisions(&unbudgeted, true),
+            "0100100010010001001001100100100000100010"
+        );
+        // The service's default 50 ms base, through the shared schedule.
+        let delays: Vec<u64> = (0..=8)
+            .map(|a| {
+                selfstab_campaign::chaos::retry_backoff(std::time::Duration::from_millis(50), a)
+                    .as_millis() as u64
+            })
+            .collect();
+        assert_eq!(delays, [50, 100, 200, 400, 800, 1600, 3200, 3200, 3200]);
+    }
+
+    /// `'1'` per fired decision over the first 40 panic points
+    /// (`key-i`, attempt `i % 3`) or response indices.
+    fn decisions(plan: &ServeChaos, tear: bool) -> String {
+        (0..40u32)
+            .map(|i| {
+                let fired = if tear {
+                    plan.should_tear_response(u64::from(i))
+                } else {
+                    plan.should_panic(&format!("key-{i}"), i % 3)
+                };
+                if fired {
+                    '1'
+                } else {
+                    '0'
+                }
+            })
+            .collect()
     }
 
     #[test]

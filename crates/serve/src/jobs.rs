@@ -139,8 +139,6 @@ pub struct JobRequest {
     pub max_combinations: usize,
     /// `synthesize` only: `Resolve`-set budget.
     pub max_resolve_sets: usize,
-    /// `synthesize` only: monotone lattice pruning (outcome-invariant).
-    pub prune: bool,
 }
 
 fn usize_field(body: &Value, key: &str) -> Result<Option<usize>, SubmitError> {
@@ -257,12 +255,7 @@ impl JobRequest {
         // any other kind their presence is a caller mistake worth
         // flagging (they would otherwise be silently ignored).
         if kind != JobKind::Synthesize {
-            for key in [
-                "max_solutions",
-                "max_combinations",
-                "max_resolve_sets",
-                "prune",
-            ] {
+            for key in ["max_solutions", "max_combinations", "max_resolve_sets"] {
                 if !body[key].is_null() {
                     return Err(SubmitError::BadRequest(format!(
                         "field `{key}` applies only to `synthesize` jobs"
@@ -282,12 +275,6 @@ impl JobRequest {
             usize_field(body, "max_combinations")?.unwrap_or(synth_defaults.max_combinations);
         let max_resolve_sets =
             usize_field(body, "max_resolve_sets")?.unwrap_or(synth_defaults.max_resolve_sets);
-        let prune = match &body["prune"] {
-            Value::Null => synth_defaults.prune,
-            v => v.as_bool().ok_or_else(|| {
-                SubmitError::BadRequest("field `prune` must be a boolean".to_owned())
-            })?,
-        };
 
         let threads = usize_field(body, "threads")?.unwrap_or(1).max(1);
         let timeout = match &body["timeout_ms"] {
@@ -312,7 +299,6 @@ impl JobRequest {
             max_solutions,
             max_combinations,
             max_resolve_sets,
-            prune,
         })
     }
 
@@ -324,10 +310,9 @@ impl JobRequest {
     ///
     /// Knobs that by contract never change a completed document's bytes
     /// are excluded, so requests differing only in them share one entry:
-    /// engine `threads`, the `symmetry` mode and the `prune` mode (pinned
-    /// byte-invariant by the full-vs-reduced and pruned-vs-full gates), and
-    /// `timeout_ms` (only completed, deadline-independent results are ever
-    /// cached).
+    /// engine `threads` and the `symmetry` mode (pinned byte-invariant by
+    /// the full-vs-reduced gate), and `timeout_ms` (only completed,
+    /// deadline-independent results are ever cached).
     pub fn cache_key(&self) -> String {
         let mut key = format!(
             "{}:{}:{}..{}:{}",
@@ -479,7 +464,7 @@ impl PhaseSink for JobSink<'_> {
             trace.span(
                 phase.name(),
                 "engine",
-                trace.ts_us(start),
+                start,
                 elapsed.as_micros() as u64,
                 self.args.clone(),
             );
@@ -552,13 +537,12 @@ fn execute_synthesis(
     trace: Option<&JobTrace>,
 ) -> ExecOutcome {
     // Mirrors `selfstab synthesize --json`, with the request's own
-    // budgets and prune mode instead of hardcoded defaults.
+    // budgets instead of hardcoded defaults.
     let config = SynthesisConfig {
         max_solutions: req.max_solutions,
         max_combinations: req.max_combinations,
         max_resolve_sets: req.max_resolve_sets,
         threads: req.threads,
-        prune: req.prune,
         ..SynthesisConfig::default()
     };
     let counters = SynthesisCounters::new();
@@ -699,7 +683,6 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         assert_eq!(base.max_solutions, 64);
         assert_eq!(base.max_combinations, 4096);
         assert_eq!(base.max_resolve_sets, 32);
-        assert!(base.prune);
 
         // Regression: every synthesis budget must perturb the cache key —
         // before they were keyed, a `max_combinations: 1` request was
@@ -717,9 +700,9 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         let unique: std::collections::BTreeSet<&String> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len(), "aliased keys: {keys:?}");
 
-        // An explicit default is the same address as an omitted knob, and
-        // the outcome-invariant prune mode never splits the address.
-        for extra in ["\"prune\": true", "\"prune\": false"] {
+        // The removed `prune` field is ignored like any unknown key, so
+        // old bodies still parse and never split the address.
+        for extra in ["\"prune\": true", "\"prune\": false", "\"prune\": \"on\""] {
             let req =
                 JobRequest::from_json(&spec_body(&format!("\"kind\": \"synthesize\", {extra}")))
                     .unwrap();
@@ -730,10 +713,9 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
     #[test]
     fn synthesis_knobs_are_rejected_on_other_kinds() {
         for extra in [
-            "\"kind\": \"verify\", \"k\": 3, \"prune\": true",
+            "\"kind\": \"verify\", \"k\": 3, \"max_resolve_sets\": 1",
             "\"kind\": \"sweep\", \"k\": 3, \"max_solutions\": 2",
             "\"kind\": \"verify\", \"k\": 3, \"max_combinations\": 10",
-            "\"kind\": \"synthesize\", \"prune\": \"on\"",
             "\"kind\": \"synthesize\", \"max_solutions\": 0",
         ] {
             let err = JobRequest::from_json(&spec_body(extra)).unwrap_err();

@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use selfstab_campaign::chaos::retry_backoff;
 use selfstab_campaign::telemetry::JobTelemetry;
 use selfstab_campaign::{FsyncPolicy, ServicePool};
 use selfstab_core::registry_row::{append_row, RegistryRow};
@@ -56,7 +57,7 @@ use crate::chaos::ServeChaos;
 use crate::http::{HttpError, Request, RequestReader, Response};
 use crate::jobs::{execute, ExecOutcome, JobEntry, JobKind, JobRequest, JobState};
 use crate::journal::{replay, ReplayedTerminal, ServeJournal};
-use crate::trace::{interleaved_document, JobTrace, TraceIdGen};
+use crate::trace::{JobTrace, TraceIdGen};
 
 /// How long [`Server::run`] waits for connection threads to flush after
 /// the drain token fires.
@@ -70,10 +71,6 @@ const RETRY_AFTER_SECS: &str = "1";
 /// `Retry-After` seconds suggested while draining: the process is going
 /// away; point clients at its replacement on a drain-sized delay.
 const DRAIN_RETRY_AFTER_SECS: &str = "5";
-
-/// Exponent cap for the deterministic retry backoff (`backoff * 2^n`),
-/// mirroring the campaign runner's retry machinery.
-const BACKOFF_EXP_CAP: u32 = 6;
 
 /// Server construction parameters (the CLI's `serve` flags).
 pub struct ServeConfig {
@@ -413,7 +410,7 @@ impl ServeState {
             ("GET", ["v1", "jobs", id, "trace"]) => match self.job(id) {
                 Some(entry) => match &entry.trace {
                     Some(trace) => {
-                        json_response(200, trace.to_chrome_json(entry.id, entry.kind.name()))
+                        json_response(200, selfstab_telemetry::trace::document(trace.events()))
                     }
                     // Replayed from a journal: the originating request
                     // predates this boot, so there is nothing to trace.
@@ -511,9 +508,9 @@ impl ServeState {
             return error_response(503, "draining", "server is draining")
                 .with_header("retry-after", DRAIN_RETRY_AFTER_SECS);
         }
-        // The request root opens here; if the submit is rejected the
-        // trace is simply dropped with it.
-        let trace = Arc::new(JobTrace::new(trace_id.to_owned(), self.origin));
+        // The request root opens here; its lane is built once the job id
+        // is known, so a rejected submit records nothing.
+        let started = Instant::now();
         let body: Value = match std::str::from_utf8(&req.body)
             .map_err(|_| "body is not UTF-8".to_owned())
             .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))
@@ -525,7 +522,7 @@ impl ServeState {
         };
         // Admission gates on the cheap kind extraction, before the
         // expensive spec parse — shed traffic costs almost nothing.
-        let admission_ts = trace.now_us();
+        let admission_at = Instant::now();
         let admitted_kind = match body["kind"].as_str().and_then(JobKind::from_name) {
             Some(kind) => match self.admission.admit(kind) {
                 Ok(()) => Some(kind),
@@ -538,13 +535,8 @@ impl ServeState {
             // its precise 400.
             None => None,
         };
-        trace.span(
-            "admission",
-            "admission",
-            admission_ts,
-            trace.now_us().saturating_sub(admission_ts),
-            json!({"pending": self.admission.pending_json()}),
-        );
+        let admission_us = admission_at.elapsed().as_micros() as u64;
+        let admission_args = json!({"pending": self.admission.pending_json()});
         let release_on_reject = |response: Response| {
             if let Some(kind) = admitted_kind {
                 self.admission.release(kind);
@@ -561,6 +553,20 @@ impl ServeState {
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let key = request.cache_key();
+        let trace = Arc::new(JobTrace::new(
+            trace_id.to_owned(),
+            self.origin,
+            started,
+            id,
+            request.kind.name(),
+        ));
+        trace.span(
+            "admission",
+            "admission",
+            admission_at,
+            admission_us,
+            admission_args,
+        );
         // The table lock spans reserve + insert so a coalesced submit
         // never hands out a job id before that job is observable. Lock
         // order is always table → cache; the pool side touches the cache
@@ -569,7 +575,7 @@ impl ServeState {
         // job's lane, and only a timestamp taken after that job's own
         // reservation is guaranteed to lie inside its request root.
         let mut jobs = self.jobs.lock().expect("job table poisoned");
-        let cache_ts = trace.now_us();
+        let cache_at = Instant::now();
         match self.cache.lookup_or_reserve(&key, id) {
             Lookup::Hit(doc) => {
                 // Served entirely from cache: a `done` job exists for
@@ -579,8 +585,8 @@ impl ServeState {
                 trace.span(
                     "cache_lookup",
                     "cache",
-                    cache_ts,
-                    trace.now_us().saturating_sub(cache_ts),
+                    cache_at,
+                    cache_at.elapsed().as_micros() as u64,
                     json!({"outcome": "hit"}),
                 );
                 self.journal_event(|j| {
@@ -618,8 +624,8 @@ impl ServeState {
                         job_trace.span(
                             "coalesced_submit",
                             "cache",
-                            cache_ts,
-                            job_trace.now_us().saturating_sub(cache_ts),
+                            cache_at,
+                            cache_at.elapsed().as_micros() as u64,
                             json!({"coalesced_trace_id": trace_id}),
                         );
                     }
@@ -636,8 +642,8 @@ impl ServeState {
                 trace.span(
                     "cache_lookup",
                     "cache",
-                    cache_ts,
-                    trace.now_us().saturating_sub(cache_ts),
+                    cache_at,
+                    cache_at.elapsed().as_micros() as u64,
                     json!({"outcome": "miss"}),
                 );
                 // Durability point: the acceptance is on disk before the
@@ -669,7 +675,6 @@ impl ServeState {
         };
         let state = Arc::clone(self);
         let enqueued = Instant::now();
-        let enqueued_us = entry.trace.as_ref().map(|t| t.now_us());
         let handle = self.pool.submit::<(), _>(move || {
             *entry.state.lock().expect("job state poisoned") = JobState::Running;
             // Queue wait: enqueue to first execution, one histogram
@@ -682,8 +687,8 @@ impl ServeState {
                     entry.kind.name()
                 ))
                 .record(waited_us);
-            if let (Some(trace), Some(ts)) = (&entry.trace, enqueued_us) {
-                trace.span("queue_wait", "pool", ts, waited_us, Value::Null);
+            if let Some(trace) = &entry.trace {
+                trace.span("queue_wait", "pool", enqueued, waited_us, Value::Null);
             }
             // Panic isolation with deterministic retry: a panicked
             // attempt (organic or chaos-injected) backs off
@@ -705,9 +710,7 @@ impl ServeState {
                 match run {
                     Ok(outcome) => break outcome,
                     Err(_) if attempt < state.retries && !token.is_cancelled() => {
-                        let backoff =
-                            state.backoff * 2u32.saturating_pow(attempt.min(BACKOFF_EXP_CAP));
-                        std::thread::sleep(backoff);
+                        std::thread::sleep(retry_backoff(state.backoff, attempt));
                         attempt += 1;
                     }
                     Err(_) => {
@@ -823,11 +826,12 @@ impl ServeState {
         let jobs = self.jobs.lock().expect("job table poisoned");
         let mut entries: Vec<&Arc<JobEntry>> = jobs.values().collect();
         entries.sort_by_key(|e| e.id);
-        let lanes: Vec<Vec<Value>> = entries
+        let events = entries
             .iter()
-            .filter_map(|e| e.trace.as_ref().map(|t| t.events(e.id, e.kind.name())))
+            .filter_map(|e| e.trace.as_ref())
+            .flat_map(|t| t.events())
             .collect();
-        let doc = interleaved_document(lanes);
+        let doc = selfstab_telemetry::trace::document(events);
         if std::fs::write(path, format!("{doc}\n")).is_err() {
             self.registry
                 .counter("serve/trace_write_errors")

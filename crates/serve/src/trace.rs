@@ -1,5 +1,6 @@
 //! Request-scoped tracing: one trace id per HTTP request, one span lane
-//! per job, rendered as Chrome trace-event documents.
+//! per job, rendered as Chrome trace-event documents by the telemetry
+//! trace writer ([`selfstab_telemetry::trace`]).
 //!
 //! Every request entering [`crate::server::ServeState::handle`] is
 //! minted a process-unique trace id and answers with it in an
@@ -21,10 +22,11 @@
 //! construction (`/v1/jobs/:id/result` bytes never mention it), keeping
 //! the determinism contract intact.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
+use selfstab_telemetry::trace::{TraceCollector, TraceEvent};
 use serde_json::{json, Value};
 
 /// Mints process-unique trace ids: a per-boot seed (wall clock ⊕ pid)
@@ -63,42 +65,44 @@ impl TraceIdGen {
     }
 }
 
-/// One recorded span: a Chrome `ph:"X"` complete event relative to the
-/// server origin.
-#[derive(Clone, Debug)]
-struct TraceSpan {
-    name: String,
-    cat: &'static str,
-    ts_us: u64,
-    dur_us: u64,
-    args: Value,
-}
-
-/// The span collection of one job, rooted at its originating request.
+/// The span lane of one job, rooted at its originating request.
 ///
-/// Cheap by design: spans are coarse (admission, cache, queue wait, one
-/// per engine phase per K), so the mutex is touched a handful of times
-/// per job — never inside the scan loops.
+/// The spans live in a [`TraceCollector`] measured from the server-wide
+/// origin and render through the telemetry trace writer; this type adds
+/// only the request's trace id (injected into every span's args at
+/// render time), the `request` root span and its end. Cheap by design:
+/// spans are coarse (admission, cache, queue wait, one per engine phase
+/// per K), so recording one is a single mutex push — never inside the
+/// scan loops.
 #[derive(Debug)]
 pub struct JobTrace {
     trace_id: String,
-    origin: Instant,
+    job_id: u64,
+    kind: &'static str,
     start_us: u64,
     end_us: AtomicU64,
-    spans: Mutex<Vec<TraceSpan>>,
+    lane: TraceCollector,
 }
 
 impl JobTrace {
-    /// A trace starting *now*, measured against the server-wide `origin`
-    /// so lanes from different requests align on one timeline.
-    pub fn new(trace_id: String, origin: Instant) -> Self {
-        let start_us = origin.elapsed().as_micros() as u64;
+    /// The lane of job `job_id` of `kind`, whose request arrived at
+    /// `started`, measured against the server-wide `origin` so lanes from
+    /// different requests align on one timeline.
+    pub fn new(
+        trace_id: String,
+        origin: Instant,
+        started: Instant,
+        job_id: u64,
+        kind: &'static str,
+    ) -> Self {
+        let lane = TraceCollector::with_origin(origin);
         JobTrace {
             trace_id,
-            origin,
-            start_us,
+            job_id,
+            kind,
+            start_us: lane.ts_us(started),
             end_us: AtomicU64::new(0),
-            spans: Mutex::new(Vec::new()),
+            lane,
         }
     }
 
@@ -107,28 +111,13 @@ impl JobTrace {
         &self.trace_id
     }
 
-    /// Microseconds since the server origin — the `ts` clock.
-    pub fn now_us(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
-    }
-
-    /// Microseconds from the server origin to `at` — the `ts` of a span
-    /// that started at `at`.
-    pub fn ts_us(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.origin).as_micros() as u64
-    }
-
-    /// Records one complete span. `args` may be `Value::Null` for none;
-    /// the trace id is injected at render time, so every span of the
-    /// document carries it.
-    pub fn span(&self, name: &str, cat: &'static str, ts_us: u64, dur_us: u64, args: Value) {
-        self.spans.lock().expect("trace poisoned").push(TraceSpan {
-            name: name.to_owned(),
-            cat,
-            ts_us,
-            dur_us,
-            args,
-        });
+    /// Records one complete span that started at `start` and ran for
+    /// `dur_us`. `args` may be `Value::Null` for none; the trace id is
+    /// injected at render time, so every span of the document carries it.
+    pub fn span(&self, name: &str, cat: &'static str, start: Instant, dur_us: u64, args: Value) {
+        let ts_us = self.lane.ts_us(start);
+        self.lane
+            .complete(name, cat, self.job_id, ts_us, dur_us, args);
     }
 
     /// Closes the request root span (idempotent — first close wins).
@@ -136,73 +125,60 @@ impl JobTrace {
     pub fn finish(&self) {
         let _ = self.end_us.compare_exchange(
             0,
-            self.now_us().max(self.start_us + 1),
+            self.end_at_now(),
             Ordering::Relaxed,
             Ordering::Relaxed,
         );
     }
 
-    /// The job's trace events: the `request` root first, then every
-    /// recorded span, all on `tid` = `job_id` with the trace id in every
-    /// event's args. The root ends at the job's terminal state — "now"
-    /// for an unfinished job — or at its last span's end, if later.
-    pub fn events(&self, job_id: u64, kind: &str) -> Vec<Value> {
+    /// The root's end if the job ended now: microseconds from the origin,
+    /// at least one past the root's start.
+    fn end_at_now(&self) -> u64 {
+        self.lane.ts_us(Instant::now()).max(self.start_us + 1)
+    }
+
+    /// The job's rendered trace events: the `request` root first, then
+    /// every recorded span, all on the job's lane with the trace id in
+    /// every event's args. The root ends at the job's terminal state —
+    /// "now" for an unfinished job — or at its last span's end, if later.
+    pub fn events(&self) -> Vec<Value> {
         let end = match self.end_us.load(Ordering::Relaxed) {
-            0 => self.now_us().max(self.start_us + 1),
+            0 => self.end_at_now(),
             end => end,
         };
-        let spans = self.spans.lock().expect("trace poisoned");
-        // A span may close after the terminal state — a coalesced join
-        // whose submitter was preempted mid-lookup — and still nests.
-        let end = spans.iter().map(|s| s.ts_us + s.dur_us).fold(end, u64::max);
-        let mut events = vec![json!({
-            "name": "request",
-            "cat": "request",
-            "ph": "X",
-            "pid": 1,
-            "tid": job_id,
-            "ts": self.start_us,
-            "dur": end - self.start_us,
-            "args": {"trace_id": self.trace_id.clone(), "job": job_id, "kind": kind},
-        })];
-        for span in spans.iter() {
-            let mut args = match &span.args {
-                Value::Object(map) => map.clone(),
-                _ => std::collections::BTreeMap::new(),
+        self.lane.with_events(|spans| {
+            // A span may close after the terminal state — a coalesced join
+            // whose submitter was preempted mid-lookup — and still nests.
+            let end = spans.iter().map(|s| s.ts_us + s.dur_us).fold(end, u64::max);
+            let root = TraceEvent {
+                name: "request".to_owned(),
+                cat: "request",
+                ph: 'X',
+                ts_us: self.start_us,
+                dur_us: end - self.start_us,
+                tid: self.job_id,
+                args: json!({
+                    "trace_id": self.trace_id.clone(),
+                    "job": self.job_id,
+                    "kind": self.kind,
+                }),
             };
-            args.insert("trace_id".to_owned(), Value::String(self.trace_id.clone()));
-            events.push(json!({
-                "name": span.name.clone(),
-                "cat": span.cat,
-                "ph": "X",
-                "pid": 1,
-                "tid": job_id,
-                "ts": span.ts_us,
-                "dur": span.dur_us,
-                "args": Value::Object(args),
-            }));
-        }
-        events
-    }
-
-    /// The per-job Chrome-trace document served by
-    /// `GET /v1/jobs/:id/trace`.
-    pub fn to_chrome_json(&self, job_id: u64, kind: &str) -> Value {
-        json!({
-            "displayTimeUnit": "ms",
-            "traceEvents": self.events(job_id, kind),
+            std::iter::once(root.to_json())
+                .chain(spans.iter().map(|span| {
+                    let mut args = match &span.args {
+                        Value::Object(map) => map.clone(),
+                        _ => BTreeMap::new(),
+                    };
+                    args.insert("trace_id".to_owned(), Value::String(self.trace_id.clone()));
+                    TraceEvent {
+                        args: Value::Object(args),
+                        ..span.clone()
+                    }
+                    .to_json()
+                }))
+                .collect()
         })
     }
-}
-
-/// Assembles the server-wide interleaved trace document from every
-/// job's lane (the `--trace` file written at drain).
-pub fn interleaved_document(lanes: Vec<Vec<Value>>) -> Value {
-    let events: Vec<Value> = lanes.into_iter().flatten().collect();
-    json!({
-        "displayTimeUnit": "ms",
-        "traceEvents": events,
-    })
 }
 
 #[cfg(test)]
@@ -230,27 +206,21 @@ mod tests {
     #[test]
     fn spans_nest_inside_the_request_root() {
         let origin = Instant::now();
-        let trace = JobTrace::new("t-1".to_owned(), origin);
+        let trace = JobTrace::new("t-1".to_owned(), origin, Instant::now(), 7, "verify");
         trace.span(
             "cache_lookup",
             "cache",
-            trace.ts_us(Instant::now()),
+            Instant::now(),
             0,
             json!({"outcome": "miss"}),
         );
         let start = Instant::now();
         std::thread::sleep(std::time::Duration::from_millis(2));
         let dur = start.elapsed().as_micros() as u64;
-        trace.span(
-            "fused_scan",
-            "engine",
-            trace.ts_us(start),
-            dur,
-            json!({"k": 4}),
-        );
+        trace.span("fused_scan", "engine", start, dur, json!({"k": 4}));
         trace.finish();
 
-        let events = trace.events(7, "verify");
+        let events = trace.events();
         assert_eq!(events.len(), 3);
         let root = &events[0];
         assert_eq!(root["name"], "request");
@@ -268,14 +238,20 @@ mod tests {
 
     #[test]
     fn finish_is_idempotent_and_documents_render() {
-        let trace = JobTrace::new("t-2".to_owned(), Instant::now());
+        let trace = JobTrace::new(
+            "t-2".to_owned(),
+            Instant::now(),
+            Instant::now(),
+            1,
+            "verify",
+        );
         trace.finish();
-        let first = trace.events(1, "verify")[0]["dur"].as_u64().unwrap();
+        let first = trace.events()[0]["dur"].as_u64().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(2));
         trace.finish();
-        let second = trace.events(1, "verify")[0]["dur"].as_u64().unwrap();
+        let second = trace.events()[0]["dur"].as_u64().unwrap();
         assert_eq!(first, second, "second finish does not move the end");
-        let doc = trace.to_chrome_json(1, "verify");
+        let doc = selfstab_telemetry::trace::document(trace.events());
         assert!(doc["traceEvents"].as_array().is_some());
         assert_eq!(doc["displayTimeUnit"], "ms");
     }

@@ -67,6 +67,13 @@ fn header<'a>(resp: &'a Response, name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
+fn keys(v: &Value) -> Vec<&str> {
+    match v {
+        Value::Object(map) => map.keys().map(String::as_str).collect(),
+        _ => panic!("not an object: {v}"),
+    }
+}
+
 fn await_job(state: &Arc<ServeState>, id: u64) -> String {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
@@ -128,8 +135,16 @@ fn trace_id_flows_from_header_to_status_to_every_span() {
     for span in ["admission", "cache_lookup", "queue_wait", "fused_scan"] {
         assert!(names.contains(&span), "missing {span} in {names:?}");
     }
+    assert_eq!(keys(&doc), ["displayTimeUnit", "traceEvents"]);
     for event in events {
         assert_eq!(event["ph"], "X");
+        // Recorded before the trace writers were merged: every event,
+        // root included, carries args (at least the trace id).
+        assert_eq!(
+            keys(event),
+            ["args", "cat", "dur", "name", "ph", "pid", "tid", "ts"],
+            "{event}"
+        );
         assert_eq!(event["tid"], id, "one lane per job");
         assert_eq!(event["args"]["trace_id"], trace_id.as_str());
         let ts = event["ts"].as_u64().unwrap();

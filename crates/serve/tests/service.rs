@@ -164,7 +164,8 @@ fn repeated_submit_is_served_from_cache_without_pool_work() {
     assert_eq!(r1.body, r2.body);
     assert_eq!(String::from_utf8(r2.body).unwrap(), cli_document(4));
 
-    // Knobs that never change result bytes share one cache entry: each
+    // Knobs that never change result bytes share one cache entry, and so
+    // does the removed `prune` field, ignored like any unknown key: each
     // pair below executes once and answers the second submit from cache.
     for (kind, first, second) in [
         (

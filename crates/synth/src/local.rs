@@ -73,7 +73,8 @@ pub struct SynthesisConfig {
     pub threads: usize,
     /// Monotone lattice pruning and delta-verification (see the module
     /// docs). The [`SynthesisOutcome`] is byte-identical with pruning on or
-    /// off; `false` forces the reference full-enumeration engine.
+    /// off; `false` forces the reference full-enumeration engine, which
+    /// only tests and benches select — no user surface exposes it.
     pub prune: bool,
 }
 

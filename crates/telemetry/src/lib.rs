@@ -18,8 +18,9 @@
 //!   to canonical (sorted-key) JSON and render to the Prometheus text
 //!   exposition format ([`prometheus`]);
 //! * [`TraceCollector`] — Chrome trace-event output loadable in Perfetto
-//!   or `chrome://tracing` (this one locks and allocates: it is opt-in
-//!   via `--trace` and never sits on a hot path);
+//!   or `chrome://tracing`, the workspace's one writer of the format
+//!   ([`trace`]; this one locks and allocates: it never sits on a hot
+//!   path);
 //! * [`logger`] — the CLI's leveled stderr logger;
 //! * [`Progress`] — the shared state behind `sweep`'s live progress meter.
 //!
@@ -42,7 +43,7 @@ mod phase;
 mod progress;
 pub mod prometheus;
 mod registry;
-mod trace;
+pub mod trace;
 
 pub use counters::{
     EngineCounters, EngineCountersSnapshot, SynthesisCounters, SynthesisCountersSnapshot,

@@ -1,11 +1,15 @@
-//! Chrome trace-event export (Perfetto / `chrome://tracing`).
+//! Chrome trace-event export (Perfetto / `chrome://tracing`) — the one
+//! writer of the format in the workspace.
 //!
-//! The collector records complete (`ph: "X"`) and instant (`ph: "i"`)
-//! events with microsecond timestamps relative to its creation, and
-//! renders the standard `{"traceEvents": […]}` JSON object document.
-//! Unlike everything else in this crate, recording locks and allocates —
-//! tracing is opt-in (`sweep --trace`) and sits beside the hot path, not
-//! on it.
+//! A [`TraceEvent`] is a complete (`ph: "X"`) or instant (`ph: "i"`)
+//! event with microsecond timestamps relative to an origin instant;
+//! [`TraceEvent::to_json`] renders one event and [`document`] wraps
+//! rendered events in the standard `{"traceEvents": […]}` JSON object.
+//! The [`TraceCollector`] accumulates events against one origin: the
+//! campaign's `sweep --trace` lanes, and each `serve` job's span lane
+//! (measured from the server-wide origin, so lanes align on one
+//! timeline). Unlike everything else in this crate, recording locks and
+//! allocates — tracing sits beside the hot path, not on it.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -13,16 +17,56 @@ use std::time::Instant;
 
 use serde_json::Value;
 
-#[derive(Debug)]
-struct TraceEvent {
-    name: String,
-    cat: &'static str,
-    /// `'X'` (complete, with `dur`) or `'i'` (instant).
-    ph: char,
-    ts_us: u64,
-    dur_us: u64,
-    tid: u64,
-    args: Value,
+/// One trace event. `pid` is always 1 (one process); `tid` is the lane —
+/// the recording worker, or the job.
+#[derive(Clone, Debug)]
+pub struct TraceEvent {
+    /// Event name (the span or instant label).
+    pub name: String,
+    /// Category.
+    pub cat: &'static str,
+    /// `'X'` (complete, with `dur`) or `'i'` (instant, thread scope).
+    pub ph: char,
+    /// Start, microseconds from the origin.
+    pub ts_us: u64,
+    /// Duration in microseconds (complete events only).
+    pub dur_us: u64,
+    /// Lane.
+    pub tid: u64,
+    /// Event arguments; `Value::Null` omits the `args` key.
+    pub args: Value,
+}
+
+impl TraceEvent {
+    /// The event's trace-event JSON object.
+    pub fn to_json(&self) -> Value {
+        let mut map = BTreeMap::new();
+        map.insert("name".to_owned(), Value::from(self.name.as_str()));
+        map.insert("cat".to_owned(), Value::from(self.cat));
+        map.insert("ph".to_owned(), Value::from(self.ph.to_string()));
+        map.insert("ts".to_owned(), Value::from(self.ts_us));
+        if self.ph == 'X' {
+            map.insert("dur".to_owned(), Value::from(self.dur_us));
+        } else {
+            // Instant scope: thread.
+            map.insert("s".to_owned(), Value::from("t"));
+        }
+        map.insert("pid".to_owned(), Value::from(1u64));
+        map.insert("tid".to_owned(), Value::from(self.tid));
+        if !self.args.is_null() {
+            map.insert("args".to_owned(), self.args.clone());
+        }
+        Value::Object(map)
+    }
+}
+
+/// The trace-event JSON object document around rendered `events`, which
+/// keep their order — viewers sort by `ts` themselves.
+pub fn document(events: Vec<Value>) -> Value {
+    let mut doc = BTreeMap::new();
+    doc.insert("displayTimeUnit".to_owned(), Value::from("ms"));
+    doc.insert("traceEvents".to_owned(), Value::Array(events));
+    Value::Object(doc)
 }
 
 /// An accumulating Chrome trace-event collector.
@@ -41,8 +85,13 @@ impl Default for TraceCollector {
 impl TraceCollector {
     /// A collector whose timestamp origin is "now".
     pub fn new() -> Self {
+        TraceCollector::with_origin(Instant::now())
+    }
+
+    /// A collector measuring timestamps from `origin`.
+    pub fn with_origin(origin: Instant) -> Self {
         TraceCollector {
-            origin: Instant::now(),
+            origin,
             events: Mutex::new(Vec::new()),
         }
     }
@@ -64,79 +113,42 @@ impl TraceCollector {
         dur_us: u64,
         args: Value,
     ) {
-        self.events
-            .lock()
-            .expect("trace poisoned")
-            .push(TraceEvent {
-                name: name.into(),
-                cat,
-                ph: 'X',
-                ts_us,
-                dur_us,
-                tid,
-                args,
-            });
+        self.push(TraceEvent {
+            name: name.into(),
+            cat,
+            ph: 'X',
+            ts_us,
+            dur_us,
+            tid,
+            args,
+        });
     }
 
     /// Records an instant event (`ph: "i"`, thread scope) at "now".
     pub fn instant(&self, name: impl Into<String>, cat: &'static str, tid: u64, args: Value) {
-        self.events
-            .lock()
-            .expect("trace poisoned")
-            .push(TraceEvent {
-                name: name.into(),
-                cat,
-                ph: 'i',
-                ts_us: self.ts_us(Instant::now()),
-                dur_us: 0,
-                tid,
-                args,
-            });
+        self.push(TraceEvent {
+            name: name.into(),
+            cat,
+            ph: 'i',
+            ts_us: self.ts_us(Instant::now()),
+            dur_us: 0,
+            tid,
+            args,
+        });
     }
 
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("trace poisoned").len()
+    fn push(&self, event: TraceEvent) {
+        self.events.lock().expect("trace poisoned").push(event);
     }
 
-    /// `true` if no event has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Runs `f` over the events recorded so far, in recording order.
+    pub fn with_events<R>(&self, f: impl FnOnce(&[TraceEvent]) -> R) -> R {
+        f(&self.events.lock().expect("trace poisoned"))
     }
 
-    /// The trace-event JSON object document. `pid` is always 1 (one
-    /// process); `tid` is the recording worker. Events keep recording
-    /// order — viewers sort by `ts` themselves.
+    /// The trace-event JSON object document of every recorded event.
     pub fn to_json(&self) -> Value {
-        let events = self
-            .events
-            .lock()
-            .expect("trace poisoned")
-            .iter()
-            .map(|e| {
-                let mut map = BTreeMap::new();
-                map.insert("name".to_owned(), Value::from(e.name.as_str()));
-                map.insert("cat".to_owned(), Value::from(e.cat));
-                map.insert("ph".to_owned(), Value::from(e.ph.to_string()));
-                map.insert("ts".to_owned(), Value::from(e.ts_us));
-                if e.ph == 'X' {
-                    map.insert("dur".to_owned(), Value::from(e.dur_us));
-                } else {
-                    // Instant scope: thread.
-                    map.insert("s".to_owned(), Value::from("t"));
-                }
-                map.insert("pid".to_owned(), Value::from(1u64));
-                map.insert("tid".to_owned(), Value::from(e.tid));
-                if !e.args.is_null() {
-                    map.insert("args".to_owned(), e.args.clone());
-                }
-                Value::Object(map)
-            })
-            .collect();
-        let mut doc = BTreeMap::new();
-        doc.insert("displayTimeUnit".to_owned(), Value::from("ms"));
-        doc.insert("traceEvents".to_owned(), Value::Array(events));
-        Value::Object(doc)
+        document(self.with_events(|events| events.iter().map(TraceEvent::to_json).collect()))
     }
 }
 
@@ -144,6 +156,13 @@ impl TraceCollector {
 mod tests {
     use super::*;
     use serde_json::json;
+
+    fn keys(event: &Value) -> Vec<&str> {
+        match event {
+            Value::Object(map) => map.keys().map(String::as_str).collect(),
+            _ => panic!("an event is an object: {event}"),
+        }
+    }
 
     #[test]
     fn events_render_with_required_fields() {
@@ -158,8 +177,8 @@ mod tests {
             json!({"spec": "a.stab", "k": 3}),
         );
         t.instant("job_panicked", "campaign", 0, Value::Null);
-        assert_eq!(t.len(), 2);
         let doc = t.to_json();
+        assert_eq!(keys(&doc), ["displayTimeUnit", "traceEvents"]);
         let events = doc["traceEvents"].as_array().unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0]["ph"], "X");
@@ -167,8 +186,17 @@ mod tests {
         assert_eq!(events[0]["pid"], 1u64);
         assert_eq!(events[0]["tid"], 2u64);
         assert_eq!(events[0]["args"]["spec"], "a.stab");
+        assert_eq!(
+            keys(&events[0]),
+            ["args", "cat", "dur", "name", "ph", "pid", "tid", "ts"]
+        );
         assert_eq!(events[1]["ph"], "i");
         assert_eq!(events[1]["s"], "t");
         assert!(events[1]["args"].is_null());
+        // An instant has no `dur`, and an event without args omits `args`.
+        assert_eq!(
+            keys(&events[1]),
+            ["cat", "name", "ph", "pid", "s", "tid", "ts"]
+        );
     }
 }

@@ -15,9 +15,9 @@
 //!   journal's truncate-at-first-corruption replay.
 //!
 //! All decisions are pure functions of `(seed, spec, k, attempt)` hashed
-//! with FNV-1a, plus bounded budgets derived from the seed — so a chaos
-//! run is replayable from its seed and every plan injects only finitely
-//! many faults. The invariant the property suite pins down: **interrupt
+//! with FNV-1a and a final mixing step, plus bounded budgets derived from
+//! the seed — so a chaos run is replayable from its seed and every plan
+//! injects only finitely many faults. The invariant the property suite pins down: **interrupt
 //! anywhere, resume, and the final report is byte-identical to the
 //! fault-free run** (see `tests/chaos.rs`).
 //!
@@ -32,6 +32,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use selfstab_core::hash::{fnv64, fnv64_words};
+
+/// The splitmix64 finalizer, applied to every FNV-1a hash before a
+/// modulus. FNV-1a's multiply never carries high bits down, so the low
+/// bits of its hash depend only on the low bits of each byte: a bare `% 2`
+/// or `% 4` would give seeds that differ only above those bits (3 and 7,
+/// say) the same faults.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// Hash tags (ASCII `panic`, `cancel`) of decisions and budget draws.
 const PANIC: u64 = 0x0070_616e_6963;
@@ -60,11 +71,11 @@ pub struct FaultBudgets {
 
 impl FaultBudgets {
     /// Budgets drawn from `seed`: fault class `i` with draw `(tag, max)`
-    /// gets `fnv64_words([seed, tag]) % (max + 1)` injections.
+    /// gets `mix(fnv64_words([seed, tag])) % (max + 1)` injections.
     pub fn from_seed(seed: u64, draws: [(u64, u64); 2]) -> Self {
         FaultBudgets::new(
             seed,
-            draws.map(|(tag, max)| fnv64_words(&[seed, tag]) % (max + 1)),
+            draws.map(|(tag, max)| mix(fnv64_words(&[seed, tag])) % (max + 1)),
         )
     }
 
@@ -77,15 +88,15 @@ impl FaultBudgets {
     }
 
     /// Does fault `class` fire at the point named by `words`? Fires when
-    /// the FNV-1a hash of `[seed, words…]` is a multiple of `one_in` and
-    /// the class has budget left, which it then consumes.
+    /// the mixed FNV-1a hash of `[seed, words…]` is a multiple of
+    /// `one_in` and the class has budget left, which it then consumes.
     pub fn fire(&self, class: usize, one_in: u64, words: &[u64]) -> bool {
         let h = fnv64(
             std::iter::once(&self.seed)
                 .chain(words)
                 .flat_map(|w| w.to_le_bytes()),
         );
-        h.is_multiple_of(one_in)
+        mix(h).is_multiple_of(one_in)
             && self.left[class]
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
                 .is_ok()
@@ -190,25 +201,26 @@ mod tests {
         let cancels = jobs.iter().filter(|(s, k)| a.should_cancel(s, *k)).count();
         assert!(cancels <= 1);
 
-        // Recorded from the build before the shared fault core: a plan's
-        // faults and retry delays are a fixed function of its seed.
+        // Recorded from the build that mixes the hash before the modulus:
+        // a plan's faults and retry delays are a fixed function of its
+        // seed (seed 42 draws no panic budget and one cancel).
         let plan = ChaosPlan::from_seed(42);
         assert_eq!(
             decisions(&plan, false),
-            "0010100000101000000000000000000000000000"
+            "0000000000000000000000000000000000000000"
         );
         assert_eq!(
             decisions(&plan, true),
-            "0100000000000000000000000000000000000000"
+            "0000001000000000000000000000000000000000"
         );
         let unbudgeted = ChaosPlan::with_budgets(42, 40, 40);
         assert_eq!(
             decisions(&unbudgeted, false),
-            "0010100000101011100001010100110101100010"
+            "1000000011100111100100000110000000100000"
         );
         assert_eq!(
             decisions(&unbudgeted, true),
-            "0100001000011000010001010000010000100001"
+            "0000001111000000001000000010000100000000"
         );
         let delays: Vec<u64> = (0..=8)
             .map(|a| retry_backoff(Duration::from_millis(100), a).as_millis() as u64)
@@ -234,6 +246,16 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn seeds_that_differ_above_the_low_bits_fire_differently() {
+        // 3 and 7 differ only in bit 2; with the hash unmixed, `% 4` saw
+        // the same low bits for both and fired identical cancels.
+        let a = ChaosPlan::with_budgets(3, 40, 40);
+        let b = ChaosPlan::with_budgets(7, 40, 40);
+        assert_ne!(decisions(&a, true), decisions(&b, true));
+        assert_ne!(decisions(&a, false), decisions(&b, false));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A **campaign** is the job matrix (spec × ring size) described by a
 //! [`Manifest`]: every spec named by the manifest's paths/globs is checked
-//! at every `K` in the manifest's range. Jobs run on a work-stealing pool
-//! of scoped worker threads ([`pool`]), with per-job budgets (a state-count
+//! at every `K` in the manifest's range. Jobs run on scoped worker threads
+//! ([`selfstab_global::fan_out`]), claimed in manifest order, with per-job budgets (a state-count
 //! cap and an optional wall-clock deadline) that degrade oversized `d^K`
 //! instances to an [`Outcome::OverBudget`] instead of wedging the pool.
 //!

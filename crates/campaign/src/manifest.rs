@@ -24,12 +24,9 @@
 //! * `engine_threads` — intra-check parallelism handed to
 //!   [`EngineConfig`](selfstab_global::EngineConfig), composable with the
 //!   campaign's own `--jobs` worker count.
-//! * `symmetry` — optional rotation-symmetry reduction policy for every
-//!   job: `"auto"` (default), `"full"`, or `"reduced"`. Like thread
-//!   counts, the mode never changes any verdict and is therefore excluded
-//!   from the fingerprint.
 //!
-//! Any other key is ignored.
+//! Any other key is ignored — including `symmetry` and `prune`, which
+//! older manifests carry: the engine picks its own path now.
 
 use std::path::{Path, PathBuf};
 
@@ -54,8 +51,6 @@ pub struct Manifest {
     pub timeout_ms: Option<u64>,
     /// Worker threads *inside* each job's fused scan.
     pub engine_threads: usize,
-    /// Rotation-symmetry reduction policy for every job's engine.
-    pub symmetry: selfstab_global::SymmetryMode,
 }
 
 impl Manifest {
@@ -121,12 +116,6 @@ impl Manifest {
             .unwrap_or(selfstab_global::instance::DEFAULT_MAX_STATES);
         let timeout_ms = v["timeout_ms"].as_u64();
         let engine_threads = v["engine_threads"].as_u64().unwrap_or(1) as usize;
-        let symmetry = match v["symmetry"].as_str() {
-            None => selfstab_global::SymmetryMode::default(),
-            Some(mode) => mode.parse().map_err(|e: String| {
-                CampaignError::Manifest(format!("manifest `symmetry`: {e}"))
-            })?,
-        };
         Ok(Manifest {
             base_dir: base_dir.to_path_buf(),
             specs,
@@ -135,7 +124,6 @@ impl Manifest {
             max_states,
             timeout_ms,
             engine_threads,
-            symmetry,
         })
     }
 
@@ -162,8 +150,8 @@ impl Manifest {
 
     /// A stable fingerprint of the semantic manifest fields (specs, K
     /// range, budgets), used to refuse resuming a journal written by a
-    /// different campaign. Worker counts, engine threads and the symmetry
-    /// mode are excluded: they never change any verdict.
+    /// different campaign. Worker counts and engine threads are excluded:
+    /// they never change any verdict.
     pub fn fingerprint(&self) -> String {
         // FNV-1a over a canonical rendering.
         let mut canon = String::new();
@@ -304,23 +292,20 @@ mod tests {
 
     #[test]
     fn manifest_symmetry_parses_and_never_perturbs_the_fingerprint() {
+        // `symmetry` is no longer a manifest field: old manifests that
+        // carry it (any value, even one no build accepted) still parse, it
+        // is ignored like any unknown key, and journals stay resumable
+        // across it.
         let dir = specs_dir();
         let plain = r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4}"#;
-        let reduced =
-            r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4, "symmetry": "reduced"}"#;
         let a = Manifest::from_json_text(plain, &dir).unwrap();
-        let b = Manifest::from_json_text(reduced, &dir).unwrap();
-        assert_eq!(a.symmetry, selfstab_global::SymmetryMode::Auto);
-        assert_eq!(b.symmetry, selfstab_global::SymmetryMode::Reduced);
-        // The mode never changes a verdict, so journals must stay
-        // resumable across it — exactly like engine_threads.
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let bad = Manifest::from_json_text(
-            r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4, "symmetry": "orbit"}"#,
-            &dir,
-        )
-        .expect_err("unknown symmetry mode is an error");
-        assert!(bad.to_string().contains("symmetry"), "{bad}");
+        for mode in ["\"auto\"", "\"full\"", "\"reduced\"", "\"orbit\"", "3"] {
+            let text = format!(
+                "{{\"specs\": [\"specs/*.stab\"], \"k_from\": 2, \"k_to\": 4, \"symmetry\": {mode}}}"
+            );
+            let b = Manifest::from_json_text(&text, &dir).unwrap();
+            assert_eq!(a.fingerprint(), b.fingerprint(), "symmetry: {mode}");
+        }
     }
 
     #[test]

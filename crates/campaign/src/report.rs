@@ -143,7 +143,6 @@ mod tests {
             max_states: 1024,
             timeout_ms: None,
             engine_threads: 1,
-            symmetry: selfstab_global::SymmetryMode::Auto,
         }
     }
 

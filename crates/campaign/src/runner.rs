@@ -11,7 +11,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use selfstab_core::report::StabilizationReport;
-use selfstab_global::{CancelToken, ConvergenceReport, EngineConfig, GlobalError, RingInstance};
+use selfstab_global::{
+    fan_out, CancelToken, ConvergenceReport, EngineConfig, GlobalError, RingInstance,
+};
 use selfstab_protocol::Protocol;
 use selfstab_telemetry::{span, EngineCounters, Phase, PhaseSink, Progress, TraceCollector};
 use serde_json::Value;
@@ -20,8 +22,8 @@ use crate::chaos::{retry_backoff, ChaosPlan};
 use crate::job::{JobResult, JobSpec, LocalVerdict, Outcome};
 use crate::journal::{self, FsyncPolicy, Journal};
 use crate::manifest::Manifest;
+use crate::report;
 use crate::telemetry::{CampaignTelemetry, JobScope, JobTelemetry};
-use crate::{pool, report};
 
 /// Errors of the campaign subsystem.
 #[derive(Debug)]
@@ -50,11 +52,12 @@ impl std::error::Error for CampaignError {}
 /// this holds the mechanics, none of which can change a verdict).
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
-    /// Job-level worker threads (the work-stealing pool size).
+    /// Job-level worker threads.
     pub workers: usize,
     /// Override of the manifest's per-job engine threads, if any.
     pub engine_threads: Option<usize>,
-    /// Override of the manifest's rotation-symmetry policy, if any.
+    /// Pins the engine's rotation-symmetry mode. No user surface sets it:
+    /// the engine picks its own path, and only tests pin one.
     pub symmetry: Option<selfstab_global::SymmetryMode>,
     /// Journal file; `None` runs without journaling (not resumable).
     pub journal_path: Option<PathBuf>,
@@ -234,15 +237,12 @@ pub fn run_campaign(
             .unwrap_or(manifest.engine_threads)
             .max(1),
     )
-    .with_symmetry(config.symmetry.unwrap_or(manifest.symmetry));
+    .with_symmetry(config.symmetry.unwrap_or_default());
 
     // Telemetry sinks. `None` when neither `--metrics` nor `--trace` was
     // asked for: the job path then allocates no counters and times no
     // spans, exactly as before this subsystem existed.
     let tele = (config.telemetry || config.trace).then(|| CampaignTelemetry::new(config.trace));
-    let pool_stats = tele
-        .as_ref()
-        .map(|t| pool::PoolStats::from_registry(&t.registry));
     let progress = config.progress.clone();
     if let Some(p) = &progress {
         p.set_total(pending.len() as u64);
@@ -250,15 +250,14 @@ pub fn run_campaign(
     let replayed = replay.completed.len();
 
     let panics_caught = std::sync::atomic::AtomicU64::new(0);
-    let fresh: Vec<Option<JobResult>> = pool::run_jobs_with_stats(
+    // Once the interrupt fires, workers stop claiming: everything still
+    // queued is skipped.
+    let fresh: Vec<Option<JobResult>> = fan_out(
         config.workers,
         pending.len(),
-        pool_stats.as_ref(),
-        |worker, idx| {
+        is_interrupted,
+        |worker, _: &mut (), idx| {
             let job = pending[idx];
-            if is_interrupted() {
-                return None; // fast drain: skip everything still queued
-            }
             if let Some(chaos) = &config.chaos {
                 if chaos.should_cancel(&job.spec, job.k) {
                     if let Some(t) = &interrupt {

@@ -1,12 +1,12 @@
 //! Campaign-side telemetry: per-job phase breakdowns and engine counters,
-//! scheduling metrics (pool steals, queue depth, retries, panics), and the
+//! scheduling metrics (closure checks, retries, panics, job sizes), and the
 //! builders of the `--metrics` and `--trace` documents.
 //!
 //! The metrics document keeps the engine's **deterministic** counters
 //! (identical for every worker count and engine thread count on a
-//! completed job) strictly apart from **scheduling** numbers (steals,
-//! queue depths, retries, `closure_checks`) and from durations — only the
-//! first class is ever compared across runs.
+//! completed job) strictly apart from **scheduling** numbers (retries,
+//! panics, `closure_checks`) and from durations — only the first class is
+//! ever compared across runs.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

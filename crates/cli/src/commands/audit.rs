@@ -1,27 +1,25 @@
-//! `selfstab audit <file.stab> [--to K] [--threads T] [--symmetry MODE]
-//! [--json]` — the full battery: local proofs, global cross-checks at
-//! every size up to a bound, and trail reconstruction when the livelock
-//! certificate fails. `--threads` parallelizes the global cross-checks
-//! and `--symmetry auto|full|reduced` selects the rotation-symmetry
-//! reduction policy; neither changes any verdict.
+//! `selfstab audit <file.stab> [--to K] [--threads T] [--json]` — the full
+//! battery: local proofs, global cross-checks at every size up to a bound,
+//! and trail reconstruction when the livelock certificate fails.
+//! `--threads` parallelizes the global cross-checks without changing any
+//! verdict.
 //!
 //! Exit code 0 means every checked size is self-stabilizing; 2 means some
 //! size FAILS or — far worse — a locally-proven protocol was contradicted
 //! globally (a soundness disagreement).
 
 use selfstab_core::report::StabilizationReport;
-use selfstab_global::{check, EngineConfig, RingInstance, SymmetryMode};
+use selfstab_global::{check, EngineConfig, RingInstance};
 use selfstab_synth::diagnose::reconstruct_trail;
 use serde_json::json;
 
 use crate::args::{load_protocol, Args};
 
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw, "json", "to symmetry threads")?;
+    let args = Args::parse(raw, "json", "to threads")?;
     let protocol = load_protocol(&args)?;
     let to = args.get_usize("to", 6)?;
-    let symmetry: SymmetryMode = args.get("symmetry").unwrap_or("auto").parse()?;
-    let engine = EngineConfig::with_threads(args.get_usize("threads", 1)?).with_symmetry(symmetry);
+    let engine = EngineConfig::with_threads(args.get_usize("threads", 1)?);
     let json_mode = args.flag("json");
 
     let report = StabilizationReport::analyze(&protocol);

@@ -1,29 +1,25 @@
-//! `selfstab check <file.stab> --k N [--to M] [--threads T] [--symmetry MODE]` —
-//! explicit-state global model checking at fixed ring sizes.
+//! `selfstab check <file.stab> --k N [--to M] [--threads T]` — explicit-state
+//! global model checking at fixed ring sizes.
 //!
 //! `--threads` parallelizes the fused convergence scan; the verdict and
 //! every reported witness are identical for any thread count (default 1,
-//! fully sequential). `--symmetry auto|full|reduced` selects the
-//! rotation-symmetry reduction policy: `reduced` scans one necklace per
-//! rotation orbit and lifts counts by orbit size, producing the
-//! byte-identical report at a fraction of the work; `auto` (the default)
-//! engages the reduction only where the crossover heuristic predicts a
-//! win.
+//! fully sequential). The engine decides on its own when to scan one
+//! necklace per rotation orbit instead of every state; the report bytes
+//! are the same either way.
 
-use selfstab_global::{check::ConvergenceReport, EngineConfig, RingInstance, SymmetryMode};
+use selfstab_global::{check::ConvergenceReport, EngineConfig, RingInstance};
 
 use crate::args::{load_protocol, Args};
 
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let args = Args::parse(raw, "json", "k to symmetry threads")?;
+    let args = Args::parse(raw, "json", "k to threads")?;
     let protocol = load_protocol(&args)?;
     let from = args.require_usize("k")?;
     let to = args.get_usize("to", from)?;
     if to < from {
         return Err("--to must be at least --k".into());
     }
-    let symmetry: SymmetryMode = args.get("symmetry").unwrap_or("auto").parse()?;
-    let engine = EngineConfig::with_threads(args.get_usize("threads", 1)?).with_symmetry(symmetry);
+    let engine = EngineConfig::with_threads(args.get_usize("threads", 1)?);
 
     let mut all_ok = true;
     let mut json_rows = Vec::new();

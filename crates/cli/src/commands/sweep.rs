@@ -1,20 +1,19 @@
 //! `selfstab sweep <manifest.json> [--jobs J] [--threads T]
-//! [--symmetry MODE] [--resume] [--journal FILE] [--retries N]
+//! [--resume] [--journal FILE] [--retries N]
 //! [--backoff-ms MS] [--fsync always|batch] [--metrics FILE]
 //! [--trace FILE] [-o report.json] [--json] [--verbose|--quiet]` —
 //! batch verification of a whole spec corpus.
 //!
 //! The manifest names the specs (paths or `*` globs), the `K` range, and
-//! the per-job budgets; the campaign runs the full spec × K matrix on a
-//! work-stealing pool of `--jobs` workers, journaling every event to a
-//! CRC-framed JSONL file that doubles as the checkpoint for `--resume`.
-//! The report is canonical JSON — byte-identical for every worker count,
-//! symmetry mode, resume split and retry budget — so it can be diffed,
-//! archived, and gated on in CI. `--symmetry auto|full|reduced` overrides
-//! the manifest's rotation-symmetry reduction policy for every job.
+//! the per-job budgets; the campaign runs the full spec × K matrix on
+//! `--jobs` workers, journaling every event to a CRC-framed JSONL file
+//! that doubles as the checkpoint for `--resume`. The report is canonical
+//! JSON — byte-identical for every worker count, engine thread count,
+//! resume split and retry budget — so it can be diffed, archived, and
+//! gated on in CI.
 //!
 //! Observability: `--metrics FILE` writes a metrics document (per-job
-//! engine counters and phase breakdowns, campaign phase totals, pool
+//! engine counters and phase breakdowns, campaign phase totals,
 //! scheduling stats — see `selfstab stats`); `--trace FILE` writes a
 //! Chrome trace-event file loadable in Perfetto / `chrome://tracing`;
 //! `--registry FILE` appends one canonical row per job to the persistent
@@ -58,8 +57,8 @@ use crate::signal;
 const METER_PERIOD: Duration = Duration::from_millis(200);
 
 /// `sweep` options that take a value (`--chaos` is hidden: drills and tests only).
-const OPTIONS: &str = "threads symmetry journal fsync chaos metrics trace jobs retries \
-    backoff-ms registry out";
+const OPTIONS: &str = "threads journal fsync chaos metrics trace jobs retries backoff-ms \
+    registry out";
 
 pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     let args = Args::parse(raw, "json resume verbose quiet", OPTIONS)?;
@@ -73,10 +72,6 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     let engine_threads = match args.get("threads") {
         None => None,
         Some(_) => Some(args.get_usize("threads", 1)?),
-    };
-    let symmetry = match args.get("symmetry") {
-        None => None,
-        Some(mode) => Some(mode.parse::<selfstab_global::SymmetryMode>()?),
     };
     let journal_path: PathBuf = match args.get("journal") {
         Some(path) => path.into(),
@@ -100,7 +95,6 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     let config = CampaignConfig {
         workers: args.get_usize("jobs", 1)?,
         engine_threads,
-        symmetry,
         journal_path: Some(journal_path.clone()),
         resume: args.flag("resume"),
         retries: args.get_usize("retries", 0)? as u32,
@@ -111,6 +105,7 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         telemetry: metrics_path.is_some(),
         trace: trace_path.is_some(),
         progress: Some(Arc::clone(&progress)),
+        ..CampaignConfig::default()
     };
 
     // Live meter: only when a human is plausibly watching — stderr is a
@@ -151,7 +146,7 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         std::process::exit(signal::EXIT_SIGINT as i32);
     }
     if let Some(path) = args.get("registry") {
-        append_registry_rows(path.as_ref(), &manifest, symmetry, &outcome)?;
+        append_registry_rows(path.as_ref(), &manifest, &outcome)?;
     }
     if let Some(path) = &metrics_path {
         write_json_doc(path, outcome.metrics.as_ref().expect("telemetry was on"))?;
@@ -253,12 +248,9 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
 fn append_registry_rows(
     path: &Path,
     manifest: &Manifest,
-    symmetry_override: Option<selfstab_global::SymmetryMode>,
     outcome: &CampaignOutcome,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let r = &outcome.report;
-    let effective = symmetry_override.unwrap_or(manifest.symmetry);
-    let symmetry = format!("{effective:?}").to_lowercase();
     let fingerprint = r["campaign"]["fingerprint"].as_str().unwrap_or("?");
     let wall_us = outcome.elapsed.as_micros() as u64;
     let mut appended = 0usize;
@@ -283,7 +275,9 @@ fn append_registry_rows(
             spec: row["spec"].as_str().unwrap_or("?").to_owned(),
             kind: "check".to_owned(),
             k: format!("{}..{}", row["k"], row["k"]),
-            knobs: json!({"max_states": manifest.max_states, "symmetry": symmetry.clone()}),
+            // `symmetry` stays in the row identity so rows keep joining
+            // those of builds that still offered the option.
+            knobs: json!({"max_states": manifest.max_states, "symmetry": "auto"}),
             kpis,
             meta,
         };

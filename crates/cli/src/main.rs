@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! selfstab analyze    <file.stab>                  local proofs (Theorems 4.2 / 5.14)
-//! selfstab audit      <file.stab> [--to 6] [--threads T] [--symmetry M]  proofs + global cross-checks + reconstruction
-//! selfstab check      <file.stab> --k 5 [--to 8] [--threads T] [--symmetry M]  global model checking at fixed sizes
-//! selfstab sweep      <manifest.json> [--jobs J] [--threads T] [--symmetry M]  batch campaign over a spec corpus
+//! selfstab audit      <file.stab> [--to 6] [--threads T]  proofs + global cross-checks + reconstruction
+//! selfstab check      <file.stab> --k 5 [--to 8] [--threads T]  global model checking at fixed sizes
+//! selfstab sweep      <manifest.json> [--jobs J] [--threads T]  batch campaign over a spec corpus
 //! selfstab stats      <metrics.json|journal>         phase-time cross-tab of a sweep --metrics file or serve journal
 //! selfstab registry   <show|tab|diff> <registry.jsonl> [...]  query the persistent results registry
 //! selfstab synthesize <file.stab> [--first] [--threads T] [--metrics FILE] [--json]  Section 6 synthesis methodology
@@ -85,14 +85,13 @@ USAGE:
 SUBCOMMANDS:
     analyze     Theorem 4.2 / 5.14 local analysis (all ring sizes at once)
     audit       local proofs + global cross-checks + trail reconstruction
-                ([--to K] [--threads T] [--symmetry auto|full|reduced] [--json])
+                ([--to K] [--threads T] [--json])
     check       explicit-state global check at fixed ring sizes
-                (--k N [--to M] [--threads T] [--symmetry auto|full|reduced]
-                 — `reduced` scans one state per rotation orbit and lifts
-                 counts by orbit size; the report is byte-identical)
+                (--k N [--to M] [--threads T] — large rotation-symmetric
+                 rings scan one state per rotation orbit and lift counts
+                 by orbit size; the report is byte-identical)
     sweep       batch campaign over a manifest's spec × K matrix
                 (--jobs J worker threads, --threads T engine threads per job,
-                 --symmetry auto|full|reduced overrides the manifest policy,
                  --resume to continue from the journal, --journal FILE,
                  --retries N retry panicked jobs with exponential backoff,
                  --backoff-ms MS base retry delay (default 100),

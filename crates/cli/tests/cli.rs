@@ -326,15 +326,30 @@ fn helpful_errors() {
 #[test]
 fn unknown_options_exit_1_and_name_the_option() {
     // A misspelt option must not run silently on its default (here, one
-    // thread), and the removed `--prune` is no exception.
+    // thread), and the removed `--prune` and `--symmetry` are no exception.
     let agreement = spec("agreement.stab");
     let agreement = agreement.to_str().unwrap();
-    let out = selfstab(&["check", agreement, "--k", "3", "--thraeds", "4", "--json"]);
-    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    assert!(stderr(&out).contains("--thraeds"), "{}", stderr(&out));
-    let out = selfstab(&["synthesize", agreement, "--prune", "off"]);
-    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    assert!(stderr(&out).contains("--prune"), "{}", stderr(&out));
+    let manifest = write_sweep_manifest(
+        "unknown-option.json",
+        &format!(r#"{{"specs": ["{agreement}"], "k_from": 2, "k_to": 3}}"#),
+    );
+    let manifest = manifest.to_str().unwrap();
+    for (args, option) in [
+        (
+            &["check", agreement, "--k", "3", "--thraeds", "4", "--json"][..],
+            "--thraeds",
+        ),
+        (&["synthesize", agreement, "--prune", "off"][..], "--prune"),
+        (
+            &["check", agreement, "--k", "3", "--symmetry", "reduced"][..],
+            "--symmetry",
+        ),
+        (&["sweep", manifest, "--symmetry", "full"][..], "--symmetry"),
+    ] {
+        let out = selfstab(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stdout(&out));
+        assert!(stderr(&out).contains(option), "{args:?}: {}", stderr(&out));
+    }
 }
 
 #[test]

@@ -20,21 +20,23 @@
 //!   ([`find_livelock_metered`]) reuses, making `is_legit` a single bit test
 //!   during the DFS.
 //!
-//! The id range is split into 64-aligned chunks handed to a scoped thread
-//! pool ([`EngineConfig::threads`]); each chunk produces an independent
-//! [`ChunkOut`]-style summary and the summaries are merged in ascending
+//! The id range is split into 64-aligned chunks handed to the ordered
+//! fan-out ([`fan_out`], [`EngineConfig::threads`] workers); each chunk
+//! produces an independent summary (legitimate count, deadlocks, first
+//! violation, bitmap words) and the summaries are merged in ascending
 //! chunk order, so **the result is bit-for-bit identical for every thread
 //! count**, including the identity of the first closure violation and the
 //! order of the deadlock list.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use selfstab_protocol::{LocalStateId, Value};
 use selfstab_telemetry::EngineCounters;
 
 use crate::instance::{Move, RingInstance, CLS_ENABLED, CLS_LEGIT};
+use crate::pool::fan_out;
 use crate::state::GlobalStateId;
 use crate::symmetry;
 
@@ -47,7 +49,7 @@ const CANCEL_STRIDE: u64 = 4096;
 /// Cooperative cancellation for long-running scans: an explicit flag
 /// (settable from any thread, e.g. a Ctrl-C handler) combined with an
 /// optional wall-clock deadline and an optional **parent** token. Scans
-/// poll the token every [`CANCEL_STRIDE`] states and bail out with
+/// poll the token every few thousand states and bail out with
 /// [`Cancelled`].
 ///
 /// Parent linking lets one broadcast token (a SIGINT hook, a chaos
@@ -151,14 +153,16 @@ impl std::error::Error for Cancelled {}
 ///
 /// Whatever the mode, a completed check produces the **byte-identical**
 /// report: same counts, same witness states, same orderings. The mode only
-/// chooses how much work is spent getting there.
+/// chooses how much work is spent getting there. Every user surface runs
+/// [`SymmetryMode::Auto`]; the explicit modes exist for the differential
+/// tests and the benches, which pin one path each.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SymmetryMode {
     /// Pick per instance with the crossover heuristic: reduced when the
-    /// instance is rotation-symmetric, the scan is sequential, and the
-    /// space is large enough (`K ≥ 6` and `d^K ≥ 32768`) that necklace
-    /// enumeration beats the dense sweep. Small spaces stay on the full
-    /// path, where the dense loop's constant factor wins.
+    /// instance is rotation-symmetric and the space is large enough
+    /// (`K ≥ 6` and `d^K ≥ 32768`) that necklace enumeration beats the
+    /// dense sweep, whatever the thread count. Small spaces stay on the
+    /// full path, where the dense loop's constant factor wins.
     #[default]
     Auto,
     /// Always enumerate all `d^K` dense states.
@@ -232,17 +236,17 @@ impl EngineConfig {
 
     /// Resolves the symmetry policy against a concrete instance: `true`
     /// when this scan should run the necklace-reduced path. The reduced
-    /// scan is inherently sequential, so `Auto` also requires a sequential
-    /// configuration; an explicit `Reduced` wins over `threads` (the scan
-    /// simply runs sequentially) but still degrades to the full path on
-    /// instances the reduction does not apply to.
+    /// scan is sequential and wins over `threads`: on a 2-core host a
+    /// sequential reduced scan of a large instance beats the parallel
+    /// dense one (`~d^K / K` states against `d^K / threads`). Either mode
+    /// degrades to the full path on instances the reduction does not apply
+    /// to.
     fn use_reduced(&self, ring: &RingInstance) -> bool {
         match self.symmetry {
             SymmetryMode::Full => false,
             SymmetryMode::Reduced => ring.is_rotation_symmetric(),
             SymmetryMode::Auto => {
                 ring.is_rotation_symmetric()
-                    && self.threads <= 1
                     && ring.ring_size() >= AUTO_REDUCED_MIN_K
                     && ring.space().len() >= AUTO_REDUCED_MIN_STATES
             }
@@ -276,6 +280,7 @@ impl FusedScan {
 }
 
 /// Per-chunk accumulator; chunks merge associatively in ascending order.
+#[derive(Default)]
 struct ChunkOut {
     legit_count: u64,
     deadlocks: Vec<GlobalStateId>,
@@ -596,9 +601,9 @@ fn scan_reduced(
 }
 
 /// Runs the fused sweep. With `config.threads <= 1` the scan is a single
-/// sequential chunk; otherwise 64-aligned chunks are distributed over
-/// scoped worker threads and merged in ascending chunk order, so the
-/// result is identical to the sequential one. The sweep aborts early with
+/// sequential chunk; otherwise 64-aligned chunks are distributed by
+/// [`fan_out`] and merged in ascending chunk order, so the result is
+/// identical to the sequential one. The sweep aborts early with
 /// [`Cancelled`] if `cancel` fires (explicitly or by deadline); a
 /// completed sweep does not depend on the token.
 ///
@@ -629,64 +634,52 @@ pub fn fused_scan_metered(
         return scan_reduced(ring, &plan, cancel, counters).ok_or(Cancelled);
     }
 
-    if threads == 1 {
-        let out = scan_chunk(ring, &plan, 0, n, cancel, counters).ok_or(Cancelled)?;
-        return Ok(FusedScan {
-            legit_count: out.legit_count,
-            illegitimate_deadlocks: out.deadlocks,
-            first_closure_violation: out.violation,
-            legit_bits: out.bits,
-            frontier: None,
-        });
-    }
-
-    // Aim for several chunks per worker so stragglers balance out, but
-    // keep chunks 64-aligned so each owns whole bitmap words.
-    let target = (n / (threads as u64 * 8)).max(4096);
-    let chunk = target.div_ceil(64) * 64;
+    // Sequentially the whole range is one chunk. In parallel, aim for
+    // several chunks per worker so stragglers balance out, but keep chunks
+    // 64-aligned so each owns whole bitmap words.
+    let chunk = if threads == 1 {
+        n.max(1)
+    } else {
+        (n / (threads as u64 * 8)).max(4096).div_ceil(64) * 64
+    };
     let num_chunks = n.div_ceil(chunk) as usize;
-    let next = AtomicU64::new(0);
-    let results: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(num_chunks));
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(num_chunks) {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= num_chunks as u64 || cancel.is_cancelled() {
-                    break;
-                }
-                let start = c * chunk;
-                let end = (start + chunk).min(n);
-                match scan_chunk(ring, &plan, start, end, cancel, counters) {
-                    Some(out) => results.lock().unwrap().push((c as usize, out)),
-                    None => break,
-                }
-            });
-        }
-    });
-
-    let mut parts = results.into_inner().unwrap();
+    let parts = fan_out(
+        threads,
+        num_chunks,
+        || cancel.is_cancelled(),
+        |_worker, _: &mut (), c| {
+            let start = c as u64 * chunk;
+            let end = (start + chunk).min(n);
+            scan_chunk(ring, &plan, start, end, cancel, counters)
+        },
+    );
     if parts.len() != num_chunks {
         return Err(Cancelled);
     }
-    parts.sort_unstable_by_key(|(c, _)| *c);
 
-    let mut scan = FusedScan {
-        legit_count: 0,
-        illegitimate_deadlocks: Vec::new(),
-        first_closure_violation: None,
-        legit_bits: Vec::with_capacity((n as usize).div_ceil(64)),
-        frontier: None,
-    };
-    for (_, part) in parts {
-        scan.legit_count += part.legit_count;
-        scan.illegitimate_deadlocks.extend(part.deadlocks);
-        if scan.first_closure_violation.is_none() {
-            scan.first_closure_violation = part.violation;
+    // A chunk that saw the token fire comes back `None`. The first chunk
+    // is the base, so a sequential scan moves its buffers without copying.
+    let mut parts = parts.into_iter().map(|part| part.ok_or(Cancelled));
+    let mut merged = parts.next().transpose()?.unwrap_or_default();
+    merged
+        .bits
+        .reserve((n as usize).div_ceil(64) - merged.bits.len());
+    for part in parts {
+        let part = part?;
+        merged.legit_count += part.legit_count;
+        merged.deadlocks.extend(part.deadlocks);
+        if merged.violation.is_none() {
+            merged.violation = part.violation;
         }
-        scan.legit_bits.extend(part.bits);
+        merged.bits.extend(part.bits);
     }
-    Ok(scan)
+    Ok(FusedScan {
+        legit_count: merged.legit_count,
+        illegitimate_deadlocks: merged.deadlocks,
+        first_closure_violation: merged.violation,
+        legit_bits: merged.bits,
+        frontier: None,
+    })
 }
 
 /// Livelock search reusing a fused scan's legitimacy bitmap: the tricolor
@@ -1378,10 +1371,15 @@ mod tests {
         let auto = EngineConfig::sequential();
         assert_eq!(orbits(6, &auto), 0, "64 states stay on the dense path");
         assert!(orbits(6, &auto.with_symmetry(SymmetryMode::Reduced)) > 0);
-        // Past the crossover (2^15 = 32768 states) Auto flips to reduced —
-        // sequential only — and explicit Full pins the dense path.
+        // Past the crossover (2^15 = 32768 states) Auto flips to reduced
+        // at every thread count, and explicit Full pins the dense path.
         assert!(orbits(15, &auto) > 0, "auto crossover at 32768 states");
-        assert_eq!(orbits(15, &EngineConfig::with_threads(4)), 0);
+        for threads in [2, 4, 8] {
+            assert!(
+                orbits(15, &EngineConfig::with_threads(threads)) > 0,
+                "auto reduces at threads={threads}"
+            );
+        }
         assert_eq!(orbits(15, &auto.with_symmetry(SymmetryMode::Full)), 0);
         // The auto-reduced result still matches the dense one exactly.
         let ring = RingInstance::symmetric(&p, 15).unwrap();

@@ -21,6 +21,8 @@
 //! * [`engine`] — the fused single-pass scan behind the convergence check:
 //!   one sweep computes legitimacy counts, deadlocks and closure at once,
 //!   optionally in parallel, with verdicts independent of the thread count;
+//! * [`pool`] — [`fan_out`], the ordered scoped fan-out that the fused scan,
+//!   the synthesis candidate loop and the campaign runner share;
 //! * [`sim`] — a random/round-robin simulator with transient-fault
 //!   injection and convergence-time measurement;
 //! * [`schedule`] — computation schedules, replay, the livelock-induced
@@ -54,6 +56,7 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod instance;
+pub mod pool;
 pub mod schedule;
 pub mod sim;
 pub mod state;
@@ -65,6 +68,7 @@ pub use engine::{
 };
 pub use error::GlobalError;
 pub use instance::{Move, RingInstance};
+pub use pool::fan_out;
 pub use schedule::Schedule;
 pub use sim::{Scheduler, SimOutcome, Simulator};
 pub use state::{GlobalSpace, GlobalStateId};

@@ -253,7 +253,7 @@ fn level_for(rss: u64, limit: u64) -> u8 {
     SHED_THRESHOLDS.iter().filter(|&&t| frac >= t).count() as u8
 }
 
-/// Spawns the RSS sampler: every [`WATCHDOG_INTERVAL`] it re-derives the
+/// Spawns the RSS sampler: every 250 ms (`WATCHDOG_INTERVAL`) it re-derives the
 /// shed level from `/proc/self/statm` against `limit_bytes` and stores it
 /// through `level`. The thread retires when the server state (and with it
 /// the level cell) is dropped.

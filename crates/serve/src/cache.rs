@@ -3,7 +3,7 @@
 //! Real verification traffic is repetitive: iterating the same specs
 //! across K ranges and candidate sets re-submits near-identical requests
 //! over and over. Every completed result document is a pure function of
-//! `(spec semantics, kind, K range, state budget, symmetry mode)`, so the
+//! `(spec semantics, kind, K range, state budget, synthesis budgets)`, so the
 //! service memoizes the **rendered bytes** under exactly that key (see
 //! [`crate::jobs::JobRequest::cache_key`], built on
 //! [`selfstab_core::spec_hash`]). A repeat request is then served straight

@@ -87,25 +87,26 @@ mod tests {
         let tears = (0..100).filter(|&i| a.should_tear_response(i)).count();
         assert!(tears <= 3);
 
-        // Recorded from the build before the shared fault core: a plan's
-        // faults and retry delays are a fixed function of its seed.
+        // Recorded from the build that mixes the hash before the modulus:
+        // a plan's faults and retry delays are a fixed function of its
+        // seed (seed 42 draws no panic budget and one tear).
         let plan = ServeChaos::from_seed(42);
         assert_eq!(
             decisions(&plan, false),
-            "0101011000000000000000000000000000000000"
+            "0000000000000000000000000000000000000000"
         );
         assert_eq!(
             decisions(&plan, true),
-            "0100100010000000000000000000000000000000"
+            "0010000000000000000000000000000000000000"
         );
         let unbudgeted = ServeChaos::with_budgets(42, 40, 40);
         assert_eq!(
             decisions(&unbudgeted, false),
-            "0101011110010110011011001010001000111000"
+            "1111101101011001110000110001100100110011"
         );
         assert_eq!(
             decisions(&unbudgeted, true),
-            "0100100010010001001001100100100000100010"
+            "0010000101101010100011000111010000010111"
         );
         // The service's default 50 ms base, through the shared schedule.
         let delays: Vec<u64> = (0..=8)
@@ -134,6 +135,15 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn seeds_that_differ_above_the_low_bits_fire_differently() {
+        // 42 and 1234 agree in their low bit; with the hash unmixed, the
+        // `% 2` panic decision saw only that bit and fired identically.
+        let a = ServeChaos::with_budgets(42, 40, 40);
+        let b = ServeChaos::with_budgets(1234, 40, 40);
+        assert_ne!(decisions(&a, false), decisions(&b, false));
     }
 
     #[test]

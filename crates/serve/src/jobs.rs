@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use selfstab_campaign::telemetry::JobTelemetry;
 use selfstab_core::{spec_hash, SpecHash};
 use selfstab_global::check::ConvergenceReport;
-use selfstab_global::{instance, CancelToken, EngineConfig, RingInstance, SymmetryMode};
+use selfstab_global::{instance, CancelToken, EngineConfig, RingInstance};
 use selfstab_protocol::file::parse_protocol_file;
 use selfstab_protocol::Protocol;
 use selfstab_synth::{LocalSynthesizer, SynthesisConfig};
@@ -127,8 +127,6 @@ pub struct JobRequest {
     pub k_to: usize,
     /// Per-instance global-state budget.
     pub max_states: u64,
-    /// Rotation-symmetry policy for the scan.
-    pub symmetry: SymmetryMode,
     /// Engine threads per job (results are thread-count-invariant).
     pub threads: usize,
     /// Wall-clock deadline for the whole job.
@@ -240,17 +238,6 @@ impl JobRequest {
             }
         }
 
-        let symmetry: SymmetryMode = match body["symmetry"].as_str() {
-            None if body["symmetry"].is_null() => SymmetryMode::Auto,
-            None => {
-                return Err(SubmitError::BadRequest(
-                    "field `symmetry` must be a string".to_owned(),
-                ))
-            }
-            Some(s) => s
-                .parse()
-                .map_err(|e| SubmitError::BadRequest(format!("field `symmetry`: {e}")))?,
-        };
         // Synthesis knobs: meaningful only for `synthesize` jobs, so on
         // any other kind their presence is a caller mistake worth
         // flagging (they would otherwise be silently ignored).
@@ -293,7 +280,6 @@ impl JobRequest {
             k_from,
             k_to,
             max_states,
-            symmetry,
             threads,
             timeout,
             max_solutions,
@@ -310,9 +296,10 @@ impl JobRequest {
     ///
     /// Knobs that by contract never change a completed document's bytes
     /// are excluded, so requests differing only in them share one entry:
-    /// engine `threads` and the `symmetry` mode (pinned byte-invariant by
-    /// the full-vs-reduced gate), and `timeout_ms` (only completed,
-    /// deadline-independent results are ever cached).
+    /// engine `threads` and `timeout_ms` (only completed,
+    /// deadline-independent results are ever cached). Fields no build
+    /// reads any more (`symmetry`, `prune`) are ignored like any unknown
+    /// key.
     pub fn cache_key(&self) -> String {
         let mut key = format!(
             "{}:{}:{}..{}:{}",
@@ -478,7 +465,7 @@ fn execute_check(
     cancel: &CancelToken,
     trace: Option<&JobTrace>,
 ) -> ExecOutcome {
-    let engine = EngineConfig::with_threads(req.threads).with_symmetry(req.symmetry);
+    let engine = EngineConfig::with_threads(req.threads);
     let counters = EngineCounters::new();
     let mut rows = Vec::new();
     let mut all_ok = true;
@@ -629,7 +616,6 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
             "\"kind\": \"verify\", \"k\": 3, \"to\": 5",
             "\"kind\": \"verify\", \"k\": 1",
             "\"kind\": \"synthesize\", \"k\": 3",
-            "\"kind\": \"verify\", \"k\": 3, \"symmetry\": \"sideways\"",
         ] {
             let err = JobRequest::from_json(&spec_body(extra)).unwrap_err();
             assert_eq!(err.status(), 400, "case: {extra}");
@@ -666,8 +652,9 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         // Different K → different address.
         let c = JobRequest::from_json(&spec_body("\"kind\": \"verify\", \"k\": 5")).unwrap();
         assert_ne!(a.cache_key(), c.cache_key());
-        // The byte-invariant symmetry mode never splits the address.
-        for mode in ["auto", "full", "reduced"] {
+        // The removed `symmetry` field is ignored: no value of it, not
+        // even one no build accepted, is an error or splits the address.
+        for mode in ["auto", "full", "reduced", "sideways"] {
             let req = JobRequest::from_json(&spec_body(&format!(
                 "\"kind\": \"verify\", \"k\": 4, \"symmetry\": \"{mode}\""
             )))

@@ -35,7 +35,7 @@
 //! ([`cache`]): requests are keyed by the canonical parse-tree hash of
 //! the spec ([`selfstab_core::spec_hash`] — whitespace-, comment- and
 //! declaration-order-invariant) combined with every input the document
-//! depends on (kind, K range, state budget, symmetry mode). A repeated
+//! depends on (kind, K range, state budget, synthesis budgets). A repeated
 //! question is answered from memory without touching the worker pool,
 //! and N clients racing the same cold key coalesce onto one pool job.
 //!

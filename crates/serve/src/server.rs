@@ -787,7 +787,6 @@ impl ServeState {
         let Some(path) = &self.results_registry else {
             return;
         };
-        let symmetry = format!("{:?}", request.symmetry).to_lowercase();
         let mut kpis = json!({
             "exit_code": doc.exit_code,
             "body_bytes": doc.body.len() as u64,
@@ -804,7 +803,9 @@ impl ServeState {
                 JobKind::Synthesize => "-".to_owned(),
                 _ => format!("{}..{}", request.k_from, request.k_to),
             },
-            knobs: json!({"max_states": request.max_states, "symmetry": symmetry}),
+            // `symmetry` stays in the row identity so rows keep joining
+            // those of builds that still offered the option.
+            knobs: json!({"max_states": request.max_states, "symmetry": "auto"}),
             kpis,
             meta: RegistryRow::meta_now(wall_us),
         };

@@ -40,14 +40,14 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use selfstab_core::deadlock::DeadlockAnalysis;
 use selfstab_core::livelock::LivelockAnalysis;
 use selfstab_core::ltg::Ltg;
 use selfstab_core::pseudo::forms_pseudo_livelock_union;
 use selfstab_core::rcg::Rcg;
-use selfstab_global::CancelToken;
+use selfstab_global::{fan_out, CancelToken};
 use selfstab_graph::{
     cycles::{simple_cycles, CycleBudget},
     hitting::minimal_hitting_sets,
@@ -772,9 +772,22 @@ struct ChunkPart {
     solutions: Vec<(u64, SynthesizedProtocol)>,
 }
 
-/// Verifies combinations `0..allowed` of `ctx.space` across `threads`
-/// scoped workers claiming fixed chunks off a shared counter, then merges
-/// completed chunks in ascending order into a canonical contiguous prefix.
+/// The buffers one worker reuses across every chunk it claims.
+#[derive(Default)]
+struct ScanWorker {
+    digits: Vec<usize>,
+    added: Vec<LocalTransition>,
+    /// Worker-local pruning state: the delta-LTG survives across
+    /// candidates and chunks; the projected cuts are refreshed at each
+    /// chunk claim, picking up cuts other workers published meanwhile
+    /// without any synchronization on the hot per-candidate test.
+    ltg: Option<Ltg>,
+    projected: Vec<Vec<(usize, usize)>>,
+}
+
+/// Verifies combinations `0..allowed` of `ctx.space` in fixed chunks
+/// claimed in ascending order by [`fan_out`] workers, then concatenates
+/// the completed chunks into a canonical contiguous prefix.
 ///
 /// Workers stop claiming new chunks once `sol_cap` acceptances have been
 /// observed (a hint — the canonical cutoff in [`LocalSynthesizer::search`]
@@ -789,46 +802,21 @@ fn scan_resolve_set(
     cancel: &CancelToken,
     cancel_polls: &AtomicU64,
 ) -> SetScan {
-    if allowed == 0 {
-        return SetScan {
-            tags: Vec::new(),
-            solutions: Vec::new(),
-            cancelled: cancel.is_cancelled(),
-        };
-    }
-    let threads = threads.max(1);
     // Chunks small enough to balance trail-check latency across workers,
     // large enough to amortize the claim + merge bookkeeping.
-    let chunk = allowed.div_ceil(threads as u64 * 4).clamp(1, 64);
-    let num_chunks = allowed.div_ceil(chunk);
-    let next = AtomicU64::new(0);
+    let chunk = allowed.div_ceil(threads.max(1) as u64 * 4).clamp(1, 64);
+    let num_chunks = allowed.div_ceil(chunk) as usize;
     let sols_hint = AtomicU64::new(0);
-    let results: Mutex<Vec<(u64, ChunkPart)>> = Mutex::new(Vec::new());
 
-    let worker = || {
-        let mut digits: Vec<usize> = Vec::new();
-        let mut added: Vec<LocalTransition> = Vec::new();
-        let mut polls: u64 = 0;
-        // Worker-local pruning state: the delta-LTG survives across
-        // candidates and chunks; the projected cuts are refreshed at each
-        // chunk claim, picking up cuts other workers published meanwhile
-        // without any synchronization on the hot per-candidate test.
-        let mut ltg: Option<Ltg> = None;
-        let mut projected: Vec<Vec<(usize, usize)>> = Vec::new();
-        let mut skipped: u64 = 0;
-        let mut reused: u64 = 0;
-        loop {
-            if sols_hint.load(Ordering::Relaxed) >= sol_cap {
-                break;
-            }
-            let c = next.fetch_add(1, Ordering::Relaxed);
-            if c >= num_chunks {
-                break;
-            }
+    let parts = fan_out(
+        threads,
+        num_chunks,
+        || sols_hint.load(Ordering::Relaxed) >= sol_cap || cancel.is_cancelled(),
+        |_worker, w: &mut ScanWorker, c| {
             if let Some(p) = &ctx.prune {
                 if p.set_deadlock_free {
-                    projected.clear();
-                    projected.extend(
+                    w.projected.clear();
+                    w.projected.extend(
                         p.state
                             .cuts
                             .published()
@@ -836,34 +824,35 @@ fn scan_resolve_set(
                     );
                 }
             }
-            let lo = c * chunk;
+            let lo = c as u64 * chunk;
             let hi = (lo + chunk).min(allowed);
-            ctx.space.decode(lo, &mut digits);
+            ctx.space.decode(lo, &mut w.digits);
             let mut part = ChunkPart {
                 tags: Vec::with_capacity((hi - lo) as usize),
                 solutions: Vec::new(),
             };
-            let mut aborted = false;
+            let mut polls: u64 = 0;
+            let mut skipped: u64 = 0;
+            let mut reused: u64 = 0;
             for i in lo..hi {
                 polls += 1;
                 if cancel.is_cancelled() {
-                    aborted = true;
                     break;
                 }
                 let (tag, sol) = match &ctx.prune {
                     Some(p) => verify_candidate_pruned(
                         ctx,
                         p,
-                        &digits,
-                        &projected,
-                        &mut added,
-                        &mut ltg,
+                        &w.digits,
+                        &w.projected,
+                        &mut w.added,
+                        &mut w.ltg,
                         &mut skipped,
                         &mut reused,
                     ),
                     None => {
-                        ctx.space.fill(&digits, &mut added);
-                        verify_candidate(ctx, &added)
+                        ctx.space.fill(&w.digits, &mut w.added);
+                        verify_candidate(ctx, &w.added)
                     }
                 };
                 part.tags.push(tag);
@@ -871,50 +860,26 @@ fn scan_resolve_set(
                     part.solutions.push((i, s));
                     sols_hint.fetch_add(1, Ordering::Relaxed);
                 }
-                ctx.space.advance(&mut digits);
+                ctx.space.advance(&mut w.digits);
             }
-            results
-                .lock()
-                .expect("scan results poisoned")
-                .push((c, part));
-            if aborted {
-                break;
+            cancel_polls.fetch_add(polls, Ordering::Relaxed);
+            if let Some(p) = &ctx.prune {
+                p.state
+                    .candidates_skipped
+                    .fetch_add(skipped, Ordering::Relaxed);
+                p.state.delta_reuses.fetch_add(reused, Ordering::Relaxed);
             }
-        }
-        cancel_polls.fetch_add(polls, Ordering::Relaxed);
-        if let Some(p) = &ctx.prune {
-            p.state
-                .candidates_skipped
-                .fetch_add(skipped, Ordering::Relaxed);
-            p.state.delta_reuses.fetch_add(reused, Ordering::Relaxed);
-        }
-    };
+            part
+        },
+    );
 
-    if threads == 1 || num_chunks == 1 {
-        worker();
-    } else {
-        let worker = &worker;
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(num_chunks as usize) {
-                scope.spawn(worker);
-            }
-        });
-    }
-
-    // Merge in ascending chunk order; the prefix ends at the first missing
-    // chunk (solution-cap early stop or cancellation) or partial chunk
-    // (cancellation only).
-    let mut parts = results.into_inner().expect("scan results poisoned");
-    parts.sort_unstable_by_key(|&(c, _)| c);
+    // Concatenate in chunk order; the prefix ends at the first partial
+    // chunk (cancellation only).
     let mut tags: Vec<u8> = Vec::new();
     let mut solutions: Vec<(u64, SynthesizedProtocol)> = Vec::new();
-    for (expect, (c, part)) in (0u64..).zip(parts) {
-        if c != expect {
-            break;
-        }
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(allowed);
-        let full = part.tags.len() as u64 == hi - lo;
+    for (c, part) in parts.into_iter().enumerate() {
+        let lo = c as u64 * chunk;
+        let full = part.tags.len() as u64 == chunk.min(allowed - lo);
         tags.extend_from_slice(&part.tags);
         solutions.extend(part.solutions);
         if !full {

@@ -27,7 +27,7 @@
 //! **The determinism contract.** Counter *values* describing completed
 //! work (states visited, deadlocks found, DFS steps) are pure functions of
 //! the problem instance and are byte-identical across worker and engine
-//! thread counts. Durations, queue depths, steal counts and closure-check
+//! thread counts. Durations, queue depths and closure-check
 //! short-circuit tallies depend on scheduling and are reported separately.
 //! Consumers that diff metrics across runs must only compare the former;
 //! the campaign metrics document keeps the two classes in different
